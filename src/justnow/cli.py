@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -60,7 +61,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--per-cell-means",
         action="store_true",
-        help="fit cell-mean ratings instead of individual votes",
+        help="give each cell's mean rating unit weight instead of weighting by votes",
     )
 
 
@@ -220,6 +221,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="justnow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

@@ -6,14 +6,17 @@ parameters are optimized as log(sigma) so positivity holds by construction;
 kernel means are unconstrained.  Several seeded starting points are tried
 and the lowest final cost wins.
 
-Records are reindexed into a canonical order, sorted by (event, adverbial,
-elapsed minutes, respondent, rating), before any array is built, so fitted
-parameters are bit-for-bit reproducible under record shuffling.
+Votes are reduced to per-cell statistics (count n, mean, within-cell sum of
+squares ss) sorted by (event, adverbial, minutes); both families fit
+sqrt(n) * (prediction - mean) plus a constant sqrt(sum of ss), whose squares
+sum to the per-vote cost.  Fits are bit-for-bit the same for any record order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +49,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class FitConfig:
     """Optimizer settings shared by both model families.
 
-    per_cell_means collapses repeated votes on one (event, adverbial, time)
-    cell into their mean rating before fitting; by default every vote is a
-    separate residual.
+    per_cell_means gives each (event, adverbial, time) cell's mean rating
+    unit weight, a different objective from the default per-vote one.
     """
 
     max_iterations: int = 500
@@ -71,9 +73,9 @@ class FitConfig:
 class FitReport:
     """Outcome of one fit: the model plus cost and convergence accounting.
 
-    final_cost is the sum of squared residuals.  iterations counts accepted
-    optimizer steps (summed over pairs for the baseline).  warnings lists
-    pairs whose width had to be fixed heuristically.
+    final_cost sums squared residuals over the residual_count votes (cell means
+    under per_cell_means).  iterations counts accepted optimizer steps (summed
+    over pairs for the baseline).  warnings lists pairs with a heuristic width.
     """
 
     model: FactorizedModel | PairGaussianModel
@@ -121,27 +123,28 @@ def _jacobian_columns(u, z, k, sigma_a):
 
 
 # ---------------------------------------------------------------------------
-# Row extraction and canonical ordering.
+# Cell statistics and canonical ordering.
 
 
-def _rows_from_dataset(data: Dataset, per_cell_means: bool):
-    """(event, adverbial, t_minutes, respondent, rating) rows in canonical order."""
+def _cells_from_dataset(data: Dataset, per_cell_means: bool):
+    """(event, adverbial, t_minutes, n, mean, ss, min, max) per cell, in canonical order.
+
+    per_cell_means makes every cell a single vote at its mean rating.
+    """
     if not data.records:
         raise ValueError("dataset is empty")
-    rows = [
-        (r.event_id, r.adverbial_id, r.elapsed.to_minutes(), r.respondent_id or "", r.rating)
-        for r in data.records
-    ]
-    if per_cell_means:
-        cells: dict[tuple[str, str, float], list[float]] = {}
-        for event_id, adverbial_id, t, _, rating in rows:
-            cells.setdefault((event_id, adverbial_id, t), []).append(rating)
-        # fsum is exactly rounded, so the mean is independent of vote order.
-        rows = [
-            (event_id, adverbial_id, t, "", math.fsum(ratings) / len(ratings))
-            for (event_id, adverbial_id, t), ratings in cells.items()
-        ]
-    rows.sort()
+    cells: dict[tuple[str, str, float], list[float]] = {}
+    for r in data.records:
+        cells.setdefault((r.event_id, r.adverbial_id, r.elapsed.to_minutes()), []).append(r.rating)
+    rows = []
+    for key in sorted(cells):
+        ratings = cells[key]
+        # fsum is exactly rounded, so both sums are independent of vote order.
+        mean = math.fsum(ratings) / len(ratings)
+        if per_cell_means:
+            ratings = [mean]
+        ss = math.fsum((y - mean) ** 2 for y in ratings)
+        rows.append((*key, len(ratings), mean, ss, min(ratings), max(ratings)))
     return rows
 
 
@@ -263,8 +266,10 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig) ->
             converged = True
             break
         rel_decrease = (cost - cost_new) / cost
-        step_norm = float(np.linalg.norm(step))
-        theta_norm = float(np.linalg.norm(theta))
+        # Norms of runaway points may overflow; the step test compares inf like any value.
+        with np.errstate(over="ignore"):
+            step_norm = float(np.linalg.norm(step))
+            theta_norm = float(np.linalg.norm(theta))
         theta = candidate
         r = r_accepted
         cost = cost_new
@@ -280,32 +285,45 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig) ->
     return _MinimizeResult(theta, cost, accepted, converged, history)
 
 
+def _best_start(residual_fn, jacobian_fn, starts, config: FitConfig) -> _MinimizeResult:
+    """The lowest-cost minimization over the starts; the earliest wins ties."""
+    runs = (_levenberg_marquardt(residual_fn, jacobian_fn, theta0, config) for theta0 in starts)
+    return min(runs, key=lambda result: result.cost)
+
+
 # ---------------------------------------------------------------------------
 # Factorized fit.
 
 
 class _FactorizedProblem:
-    """Vectorized objective over a canonically ordered dataset."""
+    """Vectorized per-vote objective over cell statistics; the last residual is constant."""
 
     def __init__(self, data: Dataset, per_cell_means: bool):
-        rows = _rows_from_dataset(data, per_cell_means)
-        self.event_ids = sorted({row[0] for row in rows})
-        self.adverbial_ids = sorted({row[1] for row in rows})
+        rows = _cells_from_dataset(data, per_cell_means)
+        event_col, adverbial_col, t, n, y, ss, _, _ = zip(*rows)
+        self.event_ids = sorted(set(event_col))
+        self.adverbial_ids = sorted(set(adverbial_col))
         ev_index = {eid: i for i, eid in enumerate(self.event_ids)}
         ad_index = {aid: i for i, aid in enumerate(self.adverbial_ids)}
-        self.t = np.array([row[2] for row in rows], dtype=float)
-        self.y = np.array([row[4] for row in rows], dtype=float)
-        self.ev_idx = np.array([ev_index[row[0]] for row in rows], dtype=int)
-        self.ad_idx = np.array([ad_index[row[1]] for row in rows], dtype=int)
-        self.n_residuals = len(rows)
+        self.t = np.array(t, dtype=float)
+        self.n = np.array(n, dtype=int)
+        self.y = np.array(y, dtype=float)
+        self.ss = np.array(ss, dtype=float)
+        self.weight = np.sqrt(self.n)
+        self.r_template = np.append(np.zeros_like(self.t), math.sqrt(math.fsum(ss)))
+        self.ev_idx = np.array([ev_index[e] for e in event_col], dtype=int)
+        self.ad_idx = np.array([ad_index[a] for a in adverbial_col], dtype=int)
+        self.n_residuals = int(self.n.sum())
         self.n_events = len(self.event_ids)
         self.n_adverbials = len(self.adverbial_ids)
         self.n_params = self.n_events + 2 * self.n_adverbials
-        # Distinct elapsed times per observed pair, for the identifiability check.
-        pair_times: dict[tuple[str, str], set[float]] = {}
-        for event_id, adverbial_id, t, _, _ in rows:
-            pair_times.setdefault((event_id, adverbial_id), set()).add(t)
-        self.pair_times = pair_times
+        pair_cells = Counter(zip(event_col, adverbial_col))
+        for (event_id, adverbial_id), cells in sorted(pair_cells.items()):
+            if cells < 2:
+                raise ValueError(
+                    f"pair ({event_id!r}, {adverbial_id!r}) has fewer than 2 distinct "
+                    "elapsed times; the fit is not identifiable"
+                )
 
     def split_theta(self, theta: np.ndarray):
         with np.errstate(over="ignore", under="ignore"):
@@ -320,18 +338,20 @@ class _FactorizedProblem:
         _, _, _, k = _composite_terms(
             self.t, sigma_e[self.ev_idx], mu_a[self.ad_idx], sigma_a[self.ad_idx]
         )
-        return k - self.y
+        r = self.r_template.copy()
+        r[:-1] = self.weight * (k - self.y)
+        return r
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         sigma_e, mu_a, sigma_a = self.split_theta(theta)
         sa = sigma_a[self.ad_idx]
         u, _, z, k = _composite_terms(self.t, sigma_e[self.ev_idx], mu_a[self.ad_idx], sa)
         d_se, d_mu, d_sa = _jacobian_columns(u, z, k, sa)
-        jac = np.zeros((self.n_residuals, self.n_params))
-        rows = np.arange(self.n_residuals)
-        jac[rows, self.ev_idx] = d_se
-        jac[rows, self.n_events + 2 * self.ad_idx] = d_mu
-        jac[rows, self.n_events + 2 * self.ad_idx + 1] = d_sa
+        jac = np.zeros((self.t.size + 1, self.n_params))
+        rows = np.arange(self.t.size)
+        jac[rows, self.ev_idx] = self.weight * d_se
+        jac[rows, self.n_events + 2 * self.ad_idx] = self.weight * d_mu
+        jac[rows, self.n_events + 2 * self.ad_idx + 1] = self.weight * d_sa
         return jac
 
     def model_from_theta(self, theta: np.ndarray) -> FactorizedModel:
@@ -345,13 +365,14 @@ class _FactorizedProblem:
         )
 
 
-def _require_identifiable(pair_times: dict[tuple[str, str], set[float]]) -> None:
-    for (event_id, adverbial_id), times in sorted(pair_times.items()):
-        if len(times) < 2:
-            raise ValueError(
-                f"pair ({event_id!r}, {adverbial_id!r}) has fewer than 2 distinct "
-                "elapsed times; the fit is not identifiable"
-            )
+def _rating_moments(x: np.ndarray, y: np.ndarray, n: np.ndarray):
+    """Rating-weighted mean and variance of x over n votes per cell; None variance if no rating."""
+    weight = n * y
+    total = float(weight.sum())
+    if total <= 0.0:
+        return float((n * x).sum() / n.sum()), None
+    mean = float((weight * x).sum() / total)
+    return mean, float((weight * (x - mean) ** 2).sum() / total)
 
 
 def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfig):
@@ -367,41 +388,33 @@ def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfi
     theta_adv = np.empty((problem.n_adverbials, 2))
     for j in range(problem.n_adverbials):
         mask = problem.ad_idx == j
-        xs = x0[mask]
-        ys = problem.y[mask]
+        xs, ys, ns = x0[mask], problem.y[mask], problem.n[mask]
         candidates = [
             np.array([mu, math.log(sigma)])
             for mu in (0.35, 0.5, 0.65, 0.8, 0.95)
             for sigma in (0.05, 0.15)
         ]
-        total = float(ys.sum())
-        if total > 0.0:
-            mean = float((ys * xs).sum() / total)
-            var = float((ys * (xs - mean) ** 2).sum() / total)
+        mean, var = _rating_moments(xs, ys, ns)
+        if var is not None:
             sigma = math.sqrt(var) if var > 0.0 else 0.1
             candidates.append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
-        residual_fn, jacobian_fn = _pair_residual_fns(xs, ys)
-        best: _MinimizeResult | None = None
-        for theta0 in candidates:
-            result = _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config)
-            if best is None or result.cost < best.cost:
-                best = result
-        assert best is not None
-        theta_adv[j] = best.theta
+        residual_fn, jacobian_fn = _pair_residual_fns(xs, ys, ns, math.fsum(problem.ss[mask]))
+        theta_adv[j] = _best_start(residual_fn, jacobian_fn, candidates, config).theta
     return theta_adv
 
 
 def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[np.ndarray]:
     """Initial points: a fixed spread start, an informed start, perturbations.
 
-    The spread start puts sigma_e at each event's median elapsed time and
+    The spread start puts sigma_e at each event's median vote time and
     the kernel means evenly over [0.3, 1.0] with width 0.1.  The informed
     start keeps those event widths but solves each kernel separately first;
     the remaining starts are seeded perturbations of the informed one.
     """
     sigma0 = np.empty(problem.n_events)
     for i in range(problem.n_events):
-        sigma0[i] = np.median(problem.t[problem.ev_idx == i])
+        mask = problem.ev_idx == i
+        sigma0[i] = np.median(np.repeat(problem.t[mask], problem.n[mask]))
     sigma0 = np.maximum(sigma0, 1e-9)
     if problem.n_adverbials == 1:
         mu0 = np.array([0.65])
@@ -433,20 +446,15 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
 def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     """Joint least-squares fit of all event and adverbial parameters.
 
-    Every record contributes one residual (cell means instead if the config
-    asks for them).  Raises ValueError when the dataset is empty or some
-    observed pair has fewer than two distinct elapsed times.  A fit that
-    exhausts max_iterations is returned with converged False rather than
-    raised.
+    Minimizes the per-vote sum of squares through the cell statistics (or
+    the unit-weight cost of the cell means if the config asks for them).
+    Raises ValueError when the dataset is empty or some observed pair has
+    fewer than two distinct elapsed times.  A fit that exhausts
+    max_iterations is returned with converged False rather than raised.
     """
     problem = _FactorizedProblem(data, config.per_cell_means)
-    _require_identifiable(problem.pair_times)
-    best: _MinimizeResult | None = None
-    for theta0 in _factorized_starts(problem, config):
-        result = _levenberg_marquardt(problem.residuals, problem.jacobian, theta0, config)
-        if best is None or result.cost < best.cost:
-            best = result
-    assert best is not None
+    starts = _factorized_starts(problem, config)
+    best = _best_start(problem.residuals, problem.jacobian, starts, config)
     return FitReport(
         model=problem.model_from_theta(best.theta),
         final_cost=best.cost,
@@ -461,34 +469,37 @@ def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
 # Baseline fit.
 
 
-def _pair_residual_fns(t: np.ndarray, y: np.ndarray):
+def _pair_residual_fns(t: np.ndarray, y: np.ndarray, n: np.ndarray, ss: float):
+    """Per-vote objective of one Gaussian over cells, like _FactorizedProblem's."""
+    weight = np.sqrt(n)
+    r_template = np.append(np.zeros_like(t), math.sqrt(ss))
+
     def residuals(theta: np.ndarray) -> np.ndarray:
         mu, log_sigma = theta
+        r = r_template.copy()
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             z = (t - mu) / np.exp(log_sigma)
-            return np.exp(-0.5 * z * z) - y
+            r[:-1] = weight * (np.exp(-0.5 * z * z) - y)
+        return r
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
         mu, log_sigma = theta
+        jac = np.zeros((t.size + 1, 2))
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             sigma = np.exp(log_sigma)
             z = (t - mu) / sigma
-            k = np.exp(-0.5 * z * z)
-            return np.column_stack([z * k / sigma, z * z * k])
+            wk = weight * np.exp(-0.5 * z * z)
+            jac[:-1, 0] = z * wk / sigma
+            jac[:-1, 1] = z * z * wk
+        return jac
 
     return residuals, jacobian
 
 
-def _pair_starts(t: np.ndarray, y: np.ndarray, rng, count: int) -> list[np.ndarray]:
+def _pair_starts(t: np.ndarray, y: np.ndarray, n: np.ndarray, rng, count: int) -> list[np.ndarray]:
     span = float(t.max() - t.min())
-    weight = float(y.sum())
-    if weight > 0.0:
-        mu0 = float((y * t).sum() / weight)
-        var0 = float((y * (t - mu0) ** 2).sum() / weight)
-        sigma0 = math.sqrt(var0) if var0 > 0.0 else span / 4.0
-    else:
-        mu0 = float(t.mean())
-        sigma0 = span / 4.0
+    mu0, var0 = _rating_moments(t, y, n)
+    sigma0 = math.sqrt(var0) if var0 else span / 4.0
     sigma0 = max(sigma0, span * 1e-3, 1e-6)
     base = np.array([mu0, math.log(sigma0)])
     starts = [base]
@@ -508,43 +519,30 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     time span with a one-minute floor, and the pair is reported in warnings.
     iterations is the sum of accepted steps across pairs.
     """
-    rows = _rows_from_dataset(data, config.per_cell_means)
-    groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for event_id, adverbial_id, t, _, rating in rows:
-        groups.setdefault((event_id, adverbial_id), []).append((t, rating))
-
+    rows = _cells_from_dataset(data, config.per_cell_means)
     rng = np.random.default_rng(config.seed)
     pairs: list[PairParams] = []
     warnings: list[str] = []
     total_cost_terms: list[float] = []
     total_iterations = 0
     all_converged = True
-    n_residuals = len(rows)
 
-    for (event_id, adverbial_id) in sorted(groups):
-        cell = groups[(event_id, adverbial_id)]
-        t = np.array([point[0] for point in cell], dtype=float)
-        y = np.array([point[1] for point in cell], dtype=float)
-        distinct_times = len(set(t.tolist()))
-        degenerate = distinct_times < 2 or float(y.max() - y.min()) == 0.0
-        if degenerate:
-            weight = float(y.sum())
-            mu = float((y * t).sum() / weight) if weight > 0.0 else float(t.mean())
+    for (event_id, adverbial_id), cells in itertools.groupby(rows, key=lambda row: row[:2]):
+        _, _, t, n, y, ss, lo, hi = zip(*cells)
+        t, n, y = np.array(t), np.array(n, dtype=float), np.array(y)
+        residual_fn, jacobian_fn = _pair_residual_fns(t, y, n, math.fsum(ss))
+        if len(t) < 2 or max(hi) - min(lo) == 0.0:
+            mu, _ = _rating_moments(t, y, n)
             sigma = max(float(t.max() - t.min()), 1.0)
             warnings.append(
                 f"pair ({event_id!r}, {adverbial_id!r}): width not identifiable "
                 f"from degenerate data; fixed sigma at {sigma:g} minutes"
             )
-            residuals, _ = _pair_residual_fns(t, y)
-            cost = float(np.sum(residuals(np.array([mu, math.log(sigma)])) ** 2))
+            r = residual_fn(np.array([mu, math.log(sigma)]))
+            cost = float(r @ r)
         else:
-            residual_fn, jacobian_fn = _pair_residual_fns(t, y)
-            best: _MinimizeResult | None = None
-            for theta0 in _pair_starts(t, y, rng, config.multistart_count):
-                result = _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config)
-                if best is None or result.cost < best.cost:
-                    best = result
-            assert best is not None
+            starts = _pair_starts(t, y, n, rng, config.multistart_count)
+            best = _best_start(residual_fn, jacobian_fn, starts, config)
             mu = float(best.theta[0])
             sigma = float(math.exp(best.theta[1]))
             cost = best.cost
@@ -558,7 +556,7 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
         final_cost=math.fsum(total_cost_terms),
         iterations=total_iterations,
         converged=all_converged,
-        residual_count=n_residuals,
+        residual_count=sum(row[3] for row in rows),
         parameter_count=2 * len(pairs),
         warnings=tuple(warnings),
     )

@@ -13,8 +13,8 @@ from justnow.cli import (
     EXIT_VALIDATION,
     run,
 )
-from justnow.data import load_csv
-from justnow.fitting import residuals_factorized
+from justnow.data import generate_synthetic, load_csv, save_csv
+from justnow.fitting import FitConfig, fit_factorized, residuals_factorized
 from justnow.model import (
     AdverbialParams,
     Duration,
@@ -365,6 +365,32 @@ class TestExitCodes:
         assert run(["fit", "--out", "x.json"]) == EXIT_USAGE  # missing --data
         assert run(["fit", "--data", "a.csv", "--out", "b.json", "--multistarts", "zz"]) == EXIT_USAGE
         assert "usage" in capsys.readouterr().err.lower()
+
+    def test_calls_in_one_process_keep_their_own_flags(self, work, tmp_path):
+        # The parser is built once per process and shared by every run().
+        assert run(["extendability", "--events", "2", "--adverbials", "2"]) == EXIT_OK
+        assert run([
+            "fit", "--data", str(work["noisy_csv"]), "--out", str(tmp_path / "x.json"), "--bogus",
+        ]) == EXIT_USAGE
+        assert run([
+            "fit", "--data", str(work["noisy_csv"]), "--out", str(tmp_path / "flags.json"),
+            "--seed", "7", "--multistarts", "3", "--per-cell-means",
+        ]) == EXIT_OK
+        # synthesize shares the dest "seed" with fit; it must see its own default, 0.
+        synth_csv = tmp_path / "defaults.csv"
+        assert run([
+            "synthesize", "--truth", str(work["truth_path"]), "--out", str(synth_csv),
+        ]) == EXIT_OK
+        expected_csv = tmp_path / "expected.csv"
+        save_csv(generate_synthetic(work["truth"], 7, 100, 0.1, seed=0), expected_csv)
+        assert synth_csv.read_bytes() == expected_csv.read_bytes()
+        # A later fit sees none of the earlier fit's flags.
+        out = tmp_path / "defaults.json"
+        assert run(["fit", "--data", str(work["noisy_csv"]), "--out", str(out)]) == EXIT_OK
+        expected = fit_factorized(load_csv(work["noisy_csv"]), FitConfig())
+        doc = json.loads(out.read_text())
+        assert doc["final_cost"] == expected.final_cost
+        assert doc["residual_count"] == expected.residual_count
 
     def test_io_errors(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

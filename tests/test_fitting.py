@@ -1,13 +1,17 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from justnow.data import Dataset, JudgmentRecord, generate_synthetic
 from justnow.fitting import (
     FitConfig,
     FitReport,
+    _FactorizedProblem,
     _levenberg_marquardt,
     fit_baseline,
     fit_factorized,
@@ -16,6 +20,7 @@ from justnow.fitting import (
 )
 from justnow.model import (
     AdverbialParams,
+    DomainError,
     Duration,
     EventParams,
     FactorizedModel,
@@ -382,3 +387,91 @@ class TestFitBaseline:
         random.Random(1).shuffle(shuffled)
         config = FitConfig(multistart_count=4, seed=9)
         assert fit_baseline(data, config) == fit_baseline(Dataset(tuple(shuffled)), config)
+
+
+class TestCellStatisticsExactness:
+    """Fits run on per-cell statistics; costs and steps must match per-vote ones."""
+
+    surveys = given(
+        grid=st.sampled_from(["tiny", "reference"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        noise=st.sampled_from([0.0, 0.1, 0.3]),
+        votes=st.integers(min_value=1, max_value=20),
+    )
+    # tiny_truth is immutable, so sharing it across examples is safe.
+    examples = settings(
+        max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @staticmethod
+    def _survey(tiny_truth, grid, seed, noise, votes):
+        truth = tiny_truth if grid == "tiny" else reference_model()
+        return truth, generate_synthetic(truth, 7, votes, noise, seed)
+
+    # Noise-free fits end near cost 1e-25, where one-ulp differences between
+    # the cell and vote sums dominate; 1e-20 absolute is far below any noisy cost.
+
+    @surveys
+    @examples
+    def test_factorized_cost_is_per_vote(self, tiny_truth, grid, seed, noise, votes):
+        _, data = self._survey(tiny_truth, grid, seed, noise, votes)
+        report = fit_factorized(data, FitConfig(multistart_count=2))
+        r = residuals_factorized(report.model, data)
+        assert report.residual_count == len(data)
+        assert report.final_cost == pytest.approx(math.fsum(r * r), rel=1e-9, abs=1e-20)
+
+    @surveys
+    @examples
+    def test_baseline_cost_is_per_vote(self, tiny_truth, grid, seed, noise, votes):
+        _, data = self._survey(tiny_truth, grid, seed, noise, votes)
+        report = fit_baseline(data, FitConfig(multistart_count=2))
+        per_vote = math.fsum(
+            (
+                baseline_probability(rec.elapsed, report.model.pair(rec.event_id, rec.adverbial_id))
+                - rec.rating
+            )
+            ** 2
+            for rec in data
+        )
+        assert report.residual_count == len(data)
+        assert report.final_cost == pytest.approx(per_vote, rel=1e-9, abs=1e-20)
+
+    @surveys
+    @examples
+    def test_reduced_steps_match_per_vote_steps(self, tiny_truth, grid, seed, noise, votes):
+        truth, data = self._survey(tiny_truth, grid, seed, noise, votes)
+        theta_truth, event_ids, adverbial_ids = _theta_layout(truth)
+        theta0 = theta_truth + np.resize([0.1, -0.05, 0.02], theta_truth.size)
+        # Most draws converge within 20 steps.  A few crawl for hundreds of
+        # steps along a flat valley, where roundoff in any summation order
+        # picks the end point (shuffling the records alone moves the per-vote
+        # fit to another one), so compare a fixed budget of steps.
+        config = FitConfig(max_iterations=20)
+
+        def per_vote(fn, theta):
+            try:
+                return fn(_model_from_theta(theta, event_ids, adverbial_ids), data)
+            except (DomainError, OverflowError):  # a width left float range: reject the trial
+                return np.full(len(data), math.inf)
+
+        per_vote_fit = _levenberg_marquardt(
+            lambda theta: per_vote(residuals_factorized, theta),
+            lambda theta: per_vote(jacobian_factorized, theta),
+            theta0,
+            config,
+        )
+        problem = _FactorizedProblem(data, per_cell_means=False)
+        reduced_fit = _levenberg_marquardt(problem.residuals, problem.jacobian, theta0, config)
+        assert reduced_fit.iterations == per_vote_fit.iterations
+        assert reduced_fit.theta == pytest.approx(per_vote_fit.theta, abs=1e-6)
+        assert reduced_fit.cost == pytest.approx(per_vote_fit.cost, rel=1e-9, abs=1e-20)
+
+
+def test_default_fit_leaks_no_numpy_warning():
+    # The seed-42 7x300 reference survey drives a start so far out that
+    # np.linalg.norm of its step overflows.
+    data = generate_synthetic(reference_model(), 7, 300, 0.1, seed=42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_factorized(data)
+    assert report.converged
