@@ -49,7 +49,7 @@ def main() -> None:
     for warning in baseline.warnings:
         print(f"warning: {warning}")
     print()
-    print(format_accuracy_comparison(compare(factorized, baseline, data)))
+    print(format_accuracy_comparison(compare(factorized.model, baseline.model, data)))
     print()
     print("Functions needed as the vocabulary grows:")
     rows = extendability_table([2, 2, 2, 2, 4, 8, 16], [2, 4, 8, 16, 16, 16, 16])

@@ -24,14 +24,7 @@ from .evaluation import (
     format_extendability_table,
 )
 from .fitting import FitConfig, FitReport, fit_baseline, fit_factorized
-from .model import (
-    Duration,
-    best_adverbial,
-    composite_probability,
-    load_any_model,
-    load_baseline,
-    load_model,
-)
+from .model import Duration, best_adverbial, load_any_model, load_baseline, load_model
 
 __all__ = ["run", "main"]
 
@@ -127,8 +120,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     event = model.event(args.event)
     elapsed = Duration.parse(args.elapsed)
-    for adverbial_id in sorted(model.adverbials):
-        p = composite_probability(elapsed, event, model.adverbials[adverbial_id])
+    adverbial_ids = sorted(model.adverbials)
+    probabilities = model.predict([args.event], adverbial_ids, [elapsed.to_minutes()])
+    for adverbial_id, p in zip(adverbial_ids, probabilities.tolist()):
         print(f"{adverbial_id}\t{p:.9f}")
     best_id, best_p = best_adverbial(elapsed, event, model)
     print(f"best\t{best_id}\t{best_p:.9f}")
@@ -146,26 +140,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    factorized_model = load_model(args.factorized)
-    baseline_model = load_baseline(args.baseline)
-    data = load_csv(args.data)
-    factorized_report = FitReport(
-        model=factorized_model,
-        final_cost=float("nan"),
-        iterations=0,
-        converged=True,
-        residual_count=len(data.records),
-        parameter_count=factorized_model.parameter_count,
-    )
-    baseline_report = FitReport(
-        model=baseline_model,
-        final_cost=float("nan"),
-        iterations=0,
-        converged=True,
-        residual_count=len(data.records),
-        parameter_count=baseline_model.parameter_count,
-    )
-    doc = compare(factorized_report, baseline_report, data)
+    factorized = load_model(args.factorized)
+    baseline = load_baseline(args.baseline)
+    doc = compare(factorized, baseline, load_csv(args.data))
     print(format_accuracy_comparison(doc))
     if args.out:
         _write_json(args.out, doc)
@@ -199,25 +176,23 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be >= 2, got {args.points}")
     model = load_model(args.model)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
     for event_id in sorted(model.events):
-        event = model.events[event_id]
-        grid = np.geomspace(event.sigma_e / 100.0, 100.0 * event.sigma_e, args.points)
+        sigma_e = model.events[event_id].sigma_e
+        grid = np.geomspace(sigma_e / 100.0, 100.0 * sigma_e, args.points)
         for adverbial_id in sorted(model.adverbials):
-            adverbial = model.adverbials[adverbial_id]
-            lines = ["t_minutes\tprobability"]
-            for t in grid:
-                t = float(t)
-                p = composite_probability(Duration(t, "minute"), event, adverbial)
-                # repr round-trips doubles exactly, so parsed curves match the model.
-                lines.append(f"{t!r}\t{p!r}")
+            probabilities = model.predict([event_id], [adverbial_id], grid)
+            # repr round-trips doubles exactly, so parsed curves match the model.
+            lines = ["t_minutes\tprobability"] + [
+                f"{t!r}\t{p!r}" for t, p in zip(grid.tolist(), probabilities.tolist())
+            ]
             path = out_dir / f"{event_id}__{adverbial_id}.tsv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            count += 1
-    print(f"wrote {count} curve files to {out_dir}")
+    print(f"wrote {len(model.events) * len(model.adverbials)} curve files to {out_dir}")
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ from .model import (
     FactorizedModel,
     UnknownUnitError,
     canonical_unit,
-    composite_probability,
 )
 
 __all__ = [
@@ -81,6 +80,15 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.records)
+
+    def columns(self) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+        """(event ids, adverbial ids, elapsed minutes, ratings), one entry per record."""
+        return (
+            [r.event_id for r in self.records],
+            [r.adverbial_id for r in self.records],
+            np.array([r.elapsed.to_minutes() for r in self.records], dtype=float),
+            np.array([r.rating for r in self.records], dtype=float),
+        )
 
 
 def normalize_likert(raw: int, scale_min: int = 1, scale_max: int = 5) -> float:
@@ -186,13 +194,12 @@ def generate_synthetic(
     records: list[JudgmentRecord] = []
     index = 0
     for event_id in event_ids:
-        event = truth.events[event_id]
-        times = np.geomspace(event.sigma_e / 100.0, 100.0 * event.sigma_e, times_per_event)
+        sigma_e = truth.events[event_id].sigma_e
+        times = np.geomspace(sigma_e / 100.0, 100.0 * sigma_e, times_per_event)
         for adverbial_id in adverbial_ids:
-            adverbial = truth.adverbials[adverbial_id]
-            for t in times:
-                elapsed = Duration(float(t), "minute")
-                p = composite_probability(elapsed, event, adverbial)
+            probabilities = truth.predict([event_id], [adverbial_id], times)
+            for t, p in zip(times.tolist(), probabilities.tolist()):
+                elapsed = Duration(t, "minute")
                 for respondent in respondents:
                     if noise is None:
                         rating = p

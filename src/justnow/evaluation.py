@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import Dataset
-from .fitting import FitReport
 from .model import FactorizedModel, PairGaussianModel
 
 __all__ = [
@@ -45,21 +46,21 @@ def accuracy(model: FactorizedModel | PairGaussianModel, data: Dataset) -> Accur
     """Mean absolute deviation between model predictions and ratings."""
     if not data.records:
         raise ValueError("dataset is empty")
-    by_event: dict[str, list[float]] = {}
-    by_adverbial: dict[str, list[float]] = {}
-    all_errors: list[float] = []
-    for rec in data.records:
-        prediction = model.probability(rec.event_id, rec.adverbial_id, rec.elapsed)
-        error = abs(prediction - rec.rating)
-        by_event.setdefault(rec.event_id, []).append(error)
-        by_adverbial.setdefault(rec.adverbial_id, []).append(error)
-        all_errors.append(error)
-    # fsum keeps the means independent of record order.
+    event_ids, adverbial_ids, minutes, ratings = data.columns()
+    errors = np.abs(model.predict(event_ids, adverbial_ids, minutes) - ratings).tolist()
     return AccuracyReport(
-        per_event={eid: math.fsum(errs) / len(errs) for eid, errs in by_event.items()},
-        per_adverbial={aid: math.fsum(errs) / len(errs) for aid, errs in by_adverbial.items()},
-        overall=math.fsum(all_errors) / len(all_errors),
+        per_event=_group_means(event_ids, errors),
+        per_adverbial=_group_means(adverbial_ids, errors),
+        overall=math.fsum(errors) / len(errors),
     )
+
+
+def _group_means(keys: list[str], errors: list[float]) -> dict[str, float]:
+    groups: dict[str, list[float]] = {}
+    for key, error in zip(keys, errors):
+        groups.setdefault(key, []).append(error)
+    # fsum keeps the means independent of record order.
+    return {key: math.fsum(errs) / len(errs) for key, errs in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -108,26 +109,26 @@ def extendability_table(
     ]
 
 
-def compare(factorized: FitReport, baseline: FitReport, data: Dataset) -> dict:
+def compare(factorized: FactorizedModel, baseline: PairGaussianModel, data: Dataset) -> dict:
     """Side-by-side accuracy and size accounting; declares no winner."""
-    if not isinstance(factorized.model, FactorizedModel):
-        raise ValueError("first report must hold a factorized model")
-    if not isinstance(baseline.model, PairGaussianModel):
-        raise ValueError("second report must hold a per-pair baseline model")
-    acc_f = accuracy(factorized.model, data)
-    acc_b = accuracy(baseline.model, data)
+    if not isinstance(factorized, FactorizedModel):
+        raise ValueError("first model must be a factorized model")
+    if not isinstance(baseline, PairGaussianModel):
+        raise ValueError("second model must be a per-pair baseline model")
+    acc_f = accuracy(factorized, data)
+    acc_b = accuracy(baseline, data)
     events = sorted(acc_f.per_event)
     adverbials = sorted(acc_f.per_adverbial)
     return {
         "factorized": {
             "accuracy": acc_f.to_dict(),
             "parameter_count": factorized.parameter_count,
-            "function_count": factorized.model.function_count,
+            "function_count": factorized.function_count,
         },
         "baseline": {
             "accuracy": acc_b.to_dict(),
             "parameter_count": baseline.parameter_count,
-            "function_count": baseline.model.function_count,
+            "function_count": baseline.function_count,
         },
         "accuracy_difference": {
             "per_event": {e: acc_f.per_event[e] - acc_b.per_event[e] for e in events},

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf as _erf_vec
 
 from .data import Dataset
 from .model import (
@@ -29,7 +28,11 @@ from .model import (
     FactorizedModel,
     PairGaussianModel,
     PairParams,
-    UnknownIdError,
+    _composite_terms,
+    _gaussian,
+    _kernel_terms,
+    _lookup,
+    _precedence,
 )
 
 __all__ = [
@@ -41,7 +44,6 @@ __all__ = [
     "jacobian_factorized",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -88,38 +90,30 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels shared by residual and Jacobian evaluation.
+# Jacobian of the composite curve; the curve itself is justnow.model's kernel.
 
 
-def _composite_terms(t, sigma_e, mu_a, sigma_a):
-    """Intermediate arrays of the composite curve at elapsed times t.
+@np.errstate(all="ignore")
+def _jacobian(t, ev_idx, ad_idx, weight, sigma_e, mu_a, sigma_a, n_rows) -> np.ndarray:
+    """Weighted partials of the composite value w.r.t. (log sigma_e, mu_a, log sigma_a).
 
-    Overflow and zero-division are left to produce inf/nan here; the
-    optimizer rejects any trial point with a non-finite cost or step.
-    """
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        u = t / sigma_e
-        # same association as the scalar composite_probability path
-        x = 0.5 * (_erf_vec(t / (sigma_e * _SQRT2)) + 1.0)
-        z = (x - mu_a) / sigma_a
-        k = np.exp(-0.5 * z * z)
-    return u, x, z, k
-
-
-def _jacobian_columns(u, z, k, sigma_a):
-    """Partials of the composite value w.r.t. (log sigma_e, mu_a, log sigma_a).
-
+    Row i is observation i at t[i] (rows past t.size stay zero).  Columns
+    are the events in index order, then each adverbial's (mu_a, log sigma_a).
     With x = Phi(u), u = t/sigma_e and z = (x - mu_a)/sigma_a:
         d/d log sigma_e = z * k * u * phi(u) / sigma_a
         d/d mu_a        = z * k / sigma_a
         d/d log sigma_a = z^2 * k
     """
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-        d_log_sigma_e = z * k * u * phi / sigma_a
-        d_mu_a = z * k / sigma_a
-        d_log_sigma_a = z * z * k
-    return d_log_sigma_e, d_mu_a, d_log_sigma_a
+    se, sa = sigma_e[ev_idx], sigma_a[ad_idx]
+    z, k = _composite_terms(t, se, mu_a[ad_idx], sa)
+    jac = np.zeros((n_rows, sigma_e.size + 2 * sigma_a.size))
+    rows = np.arange(t.size)
+    u = t / se
+    phi = _INV_SQRT_2PI * _gaussian(u)
+    jac[rows, ev_idx] = weight * (z * k * u * phi / sa)
+    jac[rows, sigma_e.size + 2 * ad_idx] = weight * (z * k / sa)
+    jac[rows, sigma_e.size + 2 * ad_idx + 1] = weight * (z * z * k)
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -148,36 +142,10 @@ def _cells_from_dataset(data: Dataset, per_cell_means: bool):
     return rows
 
 
-def _coverage_check(model: FactorizedModel, data: Dataset) -> None:
-    for rec in data.records:
-        if rec.event_id not in model.events:
-            raise UnknownIdError(f"event {rec.event_id!r} not in model")
-        if rec.adverbial_id not in model.adverbials:
-            raise UnknownIdError(f"adverbial {rec.adverbial_id!r} not in model")
-
-
-def _dataset_arrays(model: FactorizedModel, data: Dataset):
-    """Per-record arrays in dataset order, indexed against sorted model ids."""
-    _coverage_check(model, data)
-    event_ids = sorted(model.events)
-    adverbial_ids = sorted(model.adverbials)
-    ev_index = {eid: i for i, eid in enumerate(event_ids)}
-    ad_index = {aid: i for i, aid in enumerate(adverbial_ids)}
-    t = np.array([r.elapsed.to_minutes() for r in data.records], dtype=float)
-    y = np.array([r.rating for r in data.records], dtype=float)
-    ev_idx = np.array([ev_index[r.event_id] for r in data.records], dtype=int)
-    ad_idx = np.array([ad_index[r.adverbial_id] for r in data.records], dtype=int)
-    sigma_e_by_event = np.array([model.events[eid].sigma_e for eid in event_ids], dtype=float)
-    mu_by_adv = np.array([model.adverbials[aid].mu_a for aid in adverbial_ids], dtype=float)
-    sigma_by_adv = np.array([model.adverbials[aid].sigma_a for aid in adverbial_ids], dtype=float)
-    return event_ids, adverbial_ids, t, y, ev_idx, ad_idx, sigma_e_by_event, mu_by_adv, sigma_by_adv
-
-
 def residuals_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
     """Per-record residuals, prediction minus rating, in dataset order."""
-    (_, _, t, y, ev_idx, ad_idx, sigma_e, mu_a, sigma_a) = _dataset_arrays(model, data)
-    _, _, _, k = _composite_terms(t, sigma_e[ev_idx], mu_a[ad_idx], sigma_a[ad_idx])
-    return k - y
+    event_ids, adverbial_ids, minutes, ratings = data.columns()
+    return model.predict(event_ids, adverbial_ids, minutes) - ratings
 
 
 def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
@@ -187,17 +155,15 @@ def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
     adverbial in sorted id order its (mu_a, log sigma_a) pair.  Entries for
     parameters a record's pair does not involve are exactly zero.
     """
-    (event_ids, _, t, _, ev_idx, ad_idx, sigma_e, mu_a, sigma_a) = _dataset_arrays(model, data)
-    u, _, z, k = _composite_terms(t, sigma_e[ev_idx], mu_a[ad_idx], sigma_a[ad_idx])
-    d_se, d_mu, d_sa = _jacobian_columns(u, z, k, sigma_a[ad_idx])
-    n = t.shape[0]
-    n_events = len(event_ids)
-    jac = np.zeros((n, n_events + 2 * (sigma_a.shape[0])))
-    rows = np.arange(n)
-    jac[rows, ev_idx] = d_se
-    jac[rows, n_events + 2 * ad_idx] = d_mu
-    jac[rows, n_events + 2 * ad_idx + 1] = d_sa
-    return jac
+    event_col, adverbial_col, minutes, _ = data.columns()
+    event_ids, adverbial_ids = sorted(model.events), sorted(model.adverbials)
+    ev_idx = _lookup({eid: i for i, eid in enumerate(event_ids)}, event_col, "event")
+    ad_idx = _lookup({aid: j for j, aid in enumerate(adverbial_ids)}, adverbial_col, "adverbial")
+    sigma_e = np.array([model.events[eid].sigma_e for eid in event_ids])
+    return _jacobian(
+        minutes, np.array(ev_idx, dtype=int), np.array(ad_idx, dtype=int), 1.0,
+        sigma_e, *model._kernel_params(adverbial_ids), minutes.size,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +301,7 @@ class _FactorizedProblem:
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         sigma_e, mu_a, sigma_a = self.split_theta(theta)
-        _, _, _, k = _composite_terms(
+        _, k = _composite_terms(
             self.t, sigma_e[self.ev_idx], mu_a[self.ad_idx], sigma_a[self.ad_idx]
         )
         r = self.r_template.copy()
@@ -343,16 +309,10 @@ class _FactorizedProblem:
         return r
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        sigma_e, mu_a, sigma_a = self.split_theta(theta)
-        sa = sigma_a[self.ad_idx]
-        u, _, z, k = _composite_terms(self.t, sigma_e[self.ev_idx], mu_a[self.ad_idx], sa)
-        d_se, d_mu, d_sa = _jacobian_columns(u, z, k, sa)
-        jac = np.zeros((self.t.size + 1, self.n_params))
-        rows = np.arange(self.t.size)
-        jac[rows, self.ev_idx] = self.weight * d_se
-        jac[rows, self.n_events + 2 * self.ad_idx] = self.weight * d_mu
-        jac[rows, self.n_events + 2 * self.ad_idx + 1] = self.weight * d_sa
-        return jac
+        return _jacobian(
+            self.t, self.ev_idx, self.ad_idx, self.weight, *self.split_theta(theta),
+            self.t.size + 1,
+        )
 
     def model_from_theta(self, theta: np.ndarray) -> FactorizedModel:
         sigma_e, mu_a, sigma_a = self.split_theta(theta)
@@ -384,7 +344,7 @@ def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfi
     candidate grid plus a rating-weighted moment guess; the winners seed
     the joint fit close to the global basin.
     """
-    x0 = 0.5 * (_erf_vec(problem.t / (sigma0[problem.ev_idx] * _SQRT2)) + 1.0)
+    x0 = _precedence(problem.t, sigma0[problem.ev_idx])
     theta_adv = np.empty((problem.n_adverbials, 2))
     for j in range(problem.n_adverbials):
         mask = problem.ad_idx == j
@@ -474,23 +434,23 @@ def _pair_residual_fns(t: np.ndarray, y: np.ndarray, n: np.ndarray, ss: float):
     weight = np.sqrt(n)
     r_template = np.append(np.zeros_like(t), math.sqrt(ss))
 
+    @np.errstate(all="ignore")
     def residuals(theta: np.ndarray) -> np.ndarray:
         mu, log_sigma = theta
         r = r_template.copy()
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            z = (t - mu) / np.exp(log_sigma)
-            r[:-1] = weight * (np.exp(-0.5 * z * z) - y)
+        _, k = _kernel_terms(t, mu, np.exp(log_sigma))
+        r[:-1] = weight * (k - y)
         return r
 
+    @np.errstate(all="ignore")
     def jacobian(theta: np.ndarray) -> np.ndarray:
         mu, log_sigma = theta
         jac = np.zeros((t.size + 1, 2))
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            sigma = np.exp(log_sigma)
-            z = (t - mu) / sigma
-            wk = weight * np.exp(-0.5 * z * z)
-            jac[:-1, 0] = z * wk / sigma
-            jac[:-1, 1] = z * z * wk
+        sigma = np.exp(log_sigma)
+        z, k = _kernel_terms(t, mu, sigma)
+        wk = weight * k
+        jac[:-1, 0] = z * wk / sigma
+        jac[:-1, 1] = z * z * wk
         return jac
 
     return residuals, jacobian

@@ -11,8 +11,10 @@ the adverbial applies to the event at a given elapsed time.
 The non-factorized baseline skips the shared precedence axis and assigns
 one Gaussian kernel in raw minutes to every (event, adverbial) pair.
 
-Functions here are scalar and pure; the vectorized equivalents used by the
-optimizer live in :mod:`justnow.fitting`.
+Both curves are evaluated by one vectorized kernel (numpy, with
+``scipy.special.erf`` mirrored for exact odd symmetry).  The models'
+``predict`` methods, the scalar functions below and the optimizer in
+:mod:`justnow.fitting` all call it, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.special import erf as _erf
 
 __all__ = [
     "UNIT_MINUTES",
@@ -149,16 +154,53 @@ class AdverbialParams:
         object.__setattr__(self, "sigma_a", sigma)
 
 
-def erf(x: float) -> float:
-    """Gauss error function.
+# ---------------------------------------------------------------------------
+# The one evaluation kernel, on floats or broadcasting numpy arrays.  Overflow
+# and zero division give inf or nan silently: array callers run it under
+# np.errstate(all="ignore"), and Python float arithmetic does so by itself.
 
-    Evaluated on |x| and mirrored with copysign so erf(-x) == -erf(x) holds
-    bit-for-bit regardless of the platform libm.
-    """
+
+def _odd_erf(v):
+    """erf evaluated on |v| and mirrored with copysign, so erf(-v) == -erf(v) bit for bit."""
+    return np.copysign(_erf(np.abs(v)), v)
+
+
+def _precedence(t, sigma_e):
+    """Event precedence curve: the standard normal CDF of t / sigma_e."""
+    return 0.5 * (_odd_erf(t / (sigma_e * _SQRT2)) + 1.0)
+
+
+def _gaussian(z):
+    """exp(-z^2 / 2): both families' kernels, and the normal density times sqrt(2 pi)."""
+    return np.exp(-0.5 * z * z)
+
+
+def _kernel_terms(x, mu, sigma):
+    """(z, k) of the Gaussian kernel: the adverbial's on precedence, the baseline's in minutes."""
+    z = (x - mu) / sigma
+    return z, _gaussian(z)
+
+
+@np.errstate(all="ignore")
+def _composite_terms(t, sigma_e, mu_a, sigma_a):
+    """(z, k) of the adverbial kernel at the event's precedence t minutes back."""
+    return _kernel_terms(_precedence(t, sigma_e), mu_a, sigma_a)
+
+
+def _lookup(table: dict, keys, kind: str) -> list:
+    """table[key] for each key; a missing key raises UnknownIdError naming it."""
+    try:
+        return [table[key] for key in keys]
+    except KeyError as exc:
+        raise UnknownIdError(f"{kind} {exc.args[0]!r} not in model") from None
+
+
+def erf(x: float) -> float:
+    """Gauss error function, exactly odd: erf(-x) == -erf(x) bit for bit."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"erf requires a finite argument, got {x!r}")
-    return math.copysign(math.erf(abs(x)), x)
+    return float(_odd_erf(x))
 
 
 def event_precedence(t_minutes: float, event: EventParams) -> float:
@@ -170,7 +212,7 @@ def event_precedence(t_minutes: float, event: EventParams) -> float:
     t_minutes = float(t_minutes)
     if not math.isfinite(t_minutes):
         raise DomainError(f"elapsed time must be finite, got {t_minutes!r}")
-    return 0.5 * (erf(t_minutes / (_SQRT2 * event.sigma_e)) + 1.0)
+    return float(_precedence(t_minutes, event.sigma_e))
 
 
 def adverbial_applicability(x: float, adverbial: AdverbialParams) -> float:
@@ -178,13 +220,13 @@ def adverbial_applicability(x: float, adverbial: AdverbialParams) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"precedence value must be finite, got {x!r}")
-    z = (x - adverbial.mu_a) / adverbial.sigma_a
-    return math.exp(-0.5 * z * z)
+    return float(_kernel_terms(x, adverbial.mu_a, adverbial.sigma_a)[1])
 
 
 def composite_probability(t: Duration, event: EventParams, adverbial: AdverbialParams) -> float:
     """Probability that the adverbial applies to the event at elapsed time t."""
-    return adverbial_applicability(event_precedence(t.to_minutes(), event), adverbial)
+    _, k = _composite_terms(t.to_minutes(), event.sigma_e, adverbial.mu_a, adverbial.sigma_a)
+    return float(k)
 
 
 @dataclass(frozen=True)
@@ -209,8 +251,7 @@ class PairParams:
 
 def baseline_probability(t: Duration, pair: PairParams) -> float:
     """Per-pair Gaussian kernel in minutes, peaking at 1 when t == mu_minutes."""
-    z = (t.to_minutes() - pair.mu_minutes) / pair.sigma_minutes
-    return math.exp(-0.5 * z * z)
+    return float(_kernel_terms(t.to_minutes(), pair.mu_minutes, pair.sigma_minutes)[1])
 
 
 @dataclass(frozen=True)
@@ -249,19 +290,27 @@ class FactorizedModel:
         return cls(ev_map, adv_map)
 
     def event(self, event_id: str) -> EventParams:
-        try:
-            return self.events[event_id]
-        except KeyError:
-            raise UnknownIdError(f"event {event_id!r} not in model") from None
+        return _lookup(self.events, [event_id], "event")[0]
 
     def adverbial(self, adverbial_id: str) -> AdverbialParams:
-        try:
-            return self.adverbials[adverbial_id]
-        except KeyError:
-            raise UnknownIdError(f"adverbial {adverbial_id!r} not in model") from None
+        return _lookup(self.adverbials, [adverbial_id], "adverbial")[0]
 
     def probability(self, event_id: str, adverbial_id: str, t: Duration) -> float:
         return composite_probability(t, self.event(event_id), self.adverbial(adverbial_id))
+
+    def predict(self, event_ids, adverbial_ids, minutes) -> np.ndarray:
+        """Composite probabilities; the ids' parameters and the minutes broadcast as arrays.
+
+        Raises UnknownIdError for an id not in the model.
+        """
+        sigma_e = np.array([ev.sigma_e for ev in _lookup(self.events, event_ids, "event")])
+        mu_a, sigma_a = self._kernel_params(adverbial_ids)
+        _, k = _composite_terms(np.asarray(minutes, dtype=float), sigma_e, mu_a, sigma_a)
+        return k
+
+    def _kernel_params(self, adverbial_ids) -> tuple[np.ndarray, np.ndarray]:
+        kernels = _lookup(self.adverbials, adverbial_ids, "adverbial")
+        return np.array([adv.mu_a for adv in kernels]), np.array([adv.sigma_a for adv in kernels])
 
     @property
     def function_count(self) -> int:
@@ -325,13 +374,24 @@ class PairGaussianModel:
         return cls(pair_map)
 
     def pair(self, event_id: str, adverbial_id: str) -> PairParams:
-        try:
-            return self.pairs[(event_id, adverbial_id)]
-        except KeyError:
-            raise UnknownIdError(f"pair ({event_id!r}, {adverbial_id!r}) not in model") from None
+        return _lookup(self.pairs, [(event_id, adverbial_id)], "pair")[0]
 
     def probability(self, event_id: str, adverbial_id: str, t: Duration) -> float:
         return baseline_probability(t, self.pair(event_id, adverbial_id))
+
+    @np.errstate(all="ignore")
+    def predict(self, event_ids, adverbial_ids, minutes) -> np.ndarray:
+        """Kernel values of the elementwise (event, adverbial) pairs, broadcast against minutes.
+
+        Raises UnknownIdError for a pair not in the model.
+        """
+        pairs = _lookup(self.pairs, zip(event_ids, adverbial_ids, strict=True), "pair")
+        _, k = _kernel_terms(
+            np.asarray(minutes, dtype=float),
+            np.array([pair.mu_minutes for pair in pairs]),
+            np.array([pair.sigma_minutes for pair in pairs]),
+        )
+        return k
 
     @property
     def function_count(self) -> int:
@@ -378,18 +438,13 @@ def best_adverbial(
 
     Ties break toward the lexicographically smaller adverbial id.
     """
-    if event.event_id not in model.events:
-        raise UnknownIdError(f"event {event.event_id!r} not in model")
+    model.event(event.event_id)  # UnknownIdError if the model lacks the event
     if not model.adverbials:
         raise UnknownIdError("model has no adverbials")
-    best_id = None
-    best_p = -math.inf
-    for adverbial_id in sorted(model.adverbials):
-        p = composite_probability(t, event, model.adverbials[adverbial_id])
-        if p > best_p:
-            best_id, best_p = adverbial_id, p
-    assert best_id is not None
-    return best_id, best_p
+    ids = sorted(model.adverbials)
+    _, k = _composite_terms(t.to_minutes(), event.sigma_e, *model._kernel_params(ids))
+    best = int(np.argmax(k))  # the first maximum: the smallest id among ties
+    return ids[best], float(k[best])
 
 
 # Fitted parameters shipped with the repository; reference_model.json mirrors these.

@@ -357,6 +357,32 @@ class TestPlotData:
             assert ts[0] == pytest.approx(sigma / 100.0, rel=1e-12)
             assert ts[-1] == pytest.approx(sigma * 100.0, rel=1e-12)
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_fewer_than_two_points_rejected(self, work, tmp_path, points):
+        out_dir = tmp_path / "curves"
+        code = run([
+            "plot-data", "--model", str(work["truth_path"]),
+            "--out-dir", str(out_dir), "--points", points,
+        ])
+        assert code == EXIT_VALIDATION
+        assert not out_dir.exists()
+
+    def test_two_points_are_the_grid_ends(self, work, tmp_path):
+        out_dir = tmp_path / "curves"
+        code = run([
+            "plot-data", "--model", str(work["truth_path"]),
+            "--out-dir", str(out_dir), "--points", "2",
+        ])
+        assert code == EXIT_OK
+        truth = work["truth"]
+        for path in out_dir.iterdir():
+            event_id, _ = path.stem.split("__")
+            sigma = truth.event(event_id).sigma_e
+            lines = path.read_text().splitlines()
+            assert [float(line.split("\t")[0]) for line in lines[1:]] == [
+                sigma / 100.0, sigma * 100.0,
+            ]
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):

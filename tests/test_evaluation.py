@@ -91,6 +91,9 @@ class TestAccuracy:
         data = Dataset((_record("nope", "just", 1.0, 0.5),))
         with pytest.raises(UnknownIdError):
             accuracy(tiny_truth, data)
+        baseline = PairGaussianModel.from_params([PairParams("meal", "just", 100.0, 50.0)])
+        with pytest.raises(UnknownIdError):
+            accuracy(baseline, Dataset((_record("meal", "ages", 1.0, 0.5),)))
 
     def test_model_round_trip_keeps_accuracy_bit_identical(self, tiny_truth, tmp_path):
         data = generate_synthetic(tiny_truth, 4, 2, 0.1, seed=2)
@@ -178,7 +181,7 @@ def fitted():
 class TestCompare:
     def test_document_shape(self, fitted):
         data, fac, base = fitted
-        doc = compare(fac, base, data)
+        doc = compare(fac.model, base.model, data)
         assert set(doc) == {"factorized", "baseline", "accuracy_difference"}
         assert doc["factorized"]["function_count"] == 10
         assert doc["factorized"]["parameter_count"] == 14
@@ -189,7 +192,7 @@ class TestCompare:
 
     def test_difference_is_f_minus_b(self, fitted):
         data, fac, base = fitted
-        doc = compare(fac, base, data)
+        doc = compare(fac.model, base.model, data)
         f_acc = doc["factorized"]["accuracy"]
         b_acc = doc["baseline"]["accuracy"]
         diff = doc["accuracy_difference"]
@@ -202,20 +205,20 @@ class TestCompare:
     def test_identical_datasets_give_zero_self_difference(self, fitted):
         data, fac, _ = fitted
         base_like = fit_baseline(data, FitConfig(multistart_count=2))
-        doc_a = compare(fac, base_like, data)
-        doc_b = compare(fac, base_like, data)
+        doc_a = compare(fac.model, base_like.model, data)
+        doc_b = compare(fac.model, base_like.model, data)
         assert doc_a == doc_b
 
     def test_model_family_enforced(self, fitted):
         data, fac, base = fitted
         with pytest.raises(ValueError):
-            compare(base, base, data)
+            compare(base.model, base.model, data)
         with pytest.raises(ValueError):
-            compare(fac, fac, data)
+            compare(fac.model, fac.model, data)
 
     def test_json_serializable(self, fitted):
         data, fac, base = fitted
-        doc = compare(fac, base, data)
+        doc = compare(fac.model, base.model, data)
         assert json.loads(json.dumps(doc)) == doc
 
 
@@ -229,7 +232,7 @@ class TestFormatting:
     def test_comparison_table(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 4, 1, 0.0, seed=0)
         config = FitConfig(multistart_count=2)
-        doc = compare(fit_factorized(data, config), fit_baseline(data, config), data)
+        doc = compare(fit_factorized(data, config).model, fit_baseline(data, config).model, data)
         text = format_accuracy_comparison(doc)
         assert "Functions" in text and "Parameters" in text
         assert "Factorized" in text and "Non-factorized" in text

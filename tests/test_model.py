@@ -310,6 +310,59 @@ class TestBestAdverbial:
             best_adverbial(Duration(1.0, "day"), EventParams("nope", 1.0), reference_model())
 
 
+elapsed_minutes = st.one_of(
+    st.sampled_from([0.0, 1e9]), st.floats(min_value=0.0, max_value=1e9)
+)
+sigma_e_minutes = st.floats(min_value=1e-3, max_value=1e8)
+kernel_mu = st.floats(min_value=-1.0, max_value=2.0)
+kernel_sigma = st.floats(min_value=1e-3, max_value=10.0)
+
+
+class TestOneKernel:
+    """The scalar functions and both families' predict evaluate one kernel."""
+
+    @given(
+        st.lists(elapsed_minutes, min_size=1, max_size=20),
+        sigma_e_minutes,
+        kernel_mu,
+        kernel_sigma,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_equals_predict_bit_for_bit(self, minutes, sigma_e, mu_a, sigma_a):
+        ev, adv = EventParams("e", sigma_e), AdverbialParams("a", mu_a, sigma_a)
+        pair = PairParams("e", "a", mu_a * sigma_e, sigma_a * sigma_e)
+        factorized = FactorizedModel.from_params([ev], [adv]).predict(["e"], ["a"], minutes)
+        baseline = PairGaussianModel.from_params([pair]).predict(["e"], ["a"], minutes)
+        for t, p_f, p_b in zip(minutes, factorized.tolist(), baseline.tolist()):
+            elapsed = Duration(t, "minute")
+            assert composite_probability(elapsed, ev, adv).hex() == p_f.hex()
+            assert baseline_probability(elapsed, pair).hex() == p_b.hex()
+
+    @given(
+        elapsed_minutes,
+        sigma_e_minutes,
+        st.lists(st.tuples(kernel_mu, kernel_sigma), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["a", "z"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_best_adverbial_is_scalar_argmax(self, t, sigma_e, kernels, twin, twin_id):
+        # twin_id copies one kernel's parameters, so that kernel always has a tie
+        # with an id sorting before ("a") or after ("z") the "k<j>" ids.
+        adverbials = [AdverbialParams(f"k{j}", mu, sigma) for j, (mu, sigma) in enumerate(kernels)]
+        copied = adverbials[twin % len(adverbials)]
+        adverbials.append(AdverbialParams(twin_id, copied.mu_a, copied.sigma_a))
+        ev = EventParams("e", sigma_e)
+        model = FactorizedModel.from_params([ev], adverbials)
+        elapsed = Duration(t, "minute")
+        ids = sorted(model.adverbials)
+        probs = [composite_probability(elapsed, ev, model.adverbials[a]) for a in ids]
+        best = max(range(len(ids)), key=probs.__getitem__)  # max keeps the first maximum
+        got_id, got_p = best_adverbial(elapsed, ev, model)
+        assert got_id == ids[best]
+        assert got_p.hex() == probs[best].hex()
+
+
 class TestDuration:
     @pytest.mark.parametrize(
         "unit,minutes",
