@@ -1,10 +1,12 @@
 """Least-squares fitting for the factorized model and the per-pair baseline.
 
-The minimizer is a damped Gauss-Newton loop (Levenberg-Marquardt with
-Marquardt diagonal scaling) over analytic residuals and Jacobians.  Width
-parameters are optimized as log(sigma) so positivity holds by construction;
-kernel means are unconstrained.  Several seeded starting points are tried
-and the lowest final cost wins.
+One minimizer serves every fit: a damped Gauss-Newton loop (Levenberg-Marquardt
+with Marquardt diagonal scaling) over a batch of independent problems, with
+analytic residuals and Jacobians.  The joint fit runs each start as a batch of
+one; the kernel fits of the baseline's pairs and of the informed start's
+adverbials run as one batch over every group and start.  Widths are optimized
+as log(sigma), so positivity holds by construction; kernel means are
+unconstrained.  The lowest final cost over several seeded starts wins.
 
 Votes are reduced to per-cell statistics (count n, mean, within-cell sum of
 squares ss) sorted by (event, adverbial, minutes); both families fit
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +67,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.cost_tolerance < 0 or self.param_tolerance < 0:
-            raise ValueError("tolerances must be >= 0")
+        if not (0 <= self.cost_tolerance < math.inf and 0 <= self.param_tolerance < math.inf):
+            raise ValueError("tolerances must be finite and >= 0")
         if self.multistart_count < 1:
             raise ValueError(f"multistart_count must be >= 1, got {self.multistart_count}")
 
@@ -170,91 +172,158 @@ def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
 # The minimizer.
 
 
-@dataclass
-class _MinimizeResult:
-    theta: np.ndarray
-    cost: float
-    iterations: int
-    converged: bool
-    cost_history: list[float] = field(default_factory=list)
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    """a[i] @ a[i] for each row, as one BLAS dot each: the same bits as for a row alone."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
-def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig) -> _MinimizeResult:
-    """Damped Gauss-Newton with Marquardt scaling.
+def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solutions of lhs[i] x = rhs[i]; a singular system gives a NaN step."""
+    try:
+        return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(lhs) == 1:
+            return np.full_like(rhs, math.nan)
+        return np.concatenate([_solve(lhs[i : i + 1], rhs[i : i + 1]) for i in range(len(lhs))])
 
-    Steps are accepted only when they strictly lower the cost, so the
-    sequence of accepted costs is monotone.  Termination: relative cost
-    decrease below cost_tolerance, step norm below param_tolerance (scaled
-    by the parameter norm), exact zero cost, or no downhill step at any
-    damping (a stationary point).  Hitting max_iterations without one of
-    those leaves converged False.
+
+@np.errstate(over="ignore")  # norms and costs of runaway points may overflow to inf
+def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig):
+    """Damped Gauss-Newton with Marquardt scaling over a batch of independent problems.
+
+    theta0 is (G, p); residual_fn(theta, rows) and jacobian_fn(theta, rows) map
+    the parameters (k, p) of problems rows to residuals (k, m) and Jacobians
+    (k, m, p).  Returns each problem's theta, cost, iterations (accepted steps)
+    and converged flag.  Each pass tries one damped step per running problem,
+    which keeps its own damping, Jacobian and termination, so it takes the same
+    steps in any batch as alone.  A step is accepted only if it strictly lowers
+    the cost.  Termination: relative cost decrease below cost_tolerance, step
+    norm below param_tolerance (scaled by the parameter norm), exact zero cost,
+    or no downhill step at any damping (a stationary point).  Hitting
+    max_iterations without one of those, or a non-finite starting cost, leaves
+    converged False.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = residual_fn(theta)
-    cost = float(r @ r)
-    history = [cost]
-    if not math.isfinite(cost):
-        return _MinimizeResult(theta, math.inf, 0, False, history)
-    lam = 1e-3
-    accepted = 0
-    converged = cost == 0.0
-    while not converged and accepted < config.max_iterations:
-        jac = jacobian_fn(theta)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        diag = np.diag(hess).copy()
-        diag[diag <= 0.0] = 1.0  # flat column: fall back to unit-scale damping
-        step = None
-        candidate = None
-        r_accepted = None
-        cost_new = math.inf
-        while lam <= 1e14:
-            try:
-                raw_step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(raw_step)):
-                lam *= 10.0
-                continue
-            trial = theta + raw_step
-            r_new = residual_fn(trial)
-            trial_cost = float(r_new @ r_new)
-            if math.isfinite(trial_cost) and trial_cost < cost:
-                step = trial - theta
-                candidate = trial
-                r_accepted = r_new
-                cost_new = trial_cost
-                break
-            lam *= 10.0
-        if step is None:
-            # No damping value yields a decrease: treat as converged in place.
-            converged = True
-            break
-        rel_decrease = (cost - cost_new) / cost
-        # Norms of runaway points may overflow; the step test compares inf like any value.
-        with np.errstate(over="ignore"):
-            step_norm = float(np.linalg.norm(step))
-            theta_norm = float(np.linalg.norm(theta))
-        theta = candidate
-        r = r_accepted
-        cost = cost_new
-        accepted += 1
-        history.append(cost)
-        lam = max(lam / 3.0, 1e-12)
-        if (
-            cost == 0.0
-            or rel_decrease < config.cost_tolerance
-            or step_norm <= config.param_tolerance * (theta_norm + config.param_tolerance)
-        ):
-            converged = True
-    return _MinimizeResult(theta, cost, accepted, converged, history)
+    theta = np.array(theta0, dtype=float)
+    count, n_params = theta.shape
+    r = residual_fn(theta, np.arange(count))
+    cost = _sum_squares(r)
+    cost[~np.isfinite(cost)] = math.inf
+    result = (theta.copy(), cost.copy(), np.zeros(count, dtype=int), cost == 0.0)
+    # State of the running problems only, compacted as they finish; live maps
+    # them to the batch.  Jacobians are recomputed only after a step, and
+    # recomputing one at an unchanged theta gives the same values.
+    live = np.flatnonzero((cost > 0.0) & (cost < math.inf))
+    theta, r, cost = theta[live], r[live], cost[live]
+    lam = np.full(live.size, 1e-3)
+    iterations = np.zeros(live.size, dtype=int)
+    moved = np.ones(live.size, dtype=bool)
+    diagonal = np.arange(n_params)
+    while live.size:
+        if moved.any():
+            jac = jacobian_fn(theta, live)
+            hess = jac.swapaxes(1, 2) @ jac
+            grad = (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
+            del jac  # the next Jacobian is built without this one alive
+            d = hess[:, diagonal, diagonal]
+            damping = np.zeros_like(hess)
+            damping[:, diagonal, diagonal] = np.where(d <= 0.0, 1.0, d)  # flat column: unit scale
+        step = _solve(hess + lam[:, None, None] * damping, -grad)
+        solved = np.isfinite(step).all(axis=1)
+        step[~solved] = 0.0  # evaluate nothing at a non-finite point
+        trial = theta + step
+        r_trial = residual_fn(trial, live)
+        trial_cost = _sum_squares(r_trial)
+        moved = solved & (trial_cost < cost)
+        lam = np.where(moved, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
+        converged = lam > 1e14  # no damping yields a decrease: a stationary point
+        if moved.any():
+            rel_decrease = (cost - trial_cost) / cost
+            step_norm = np.sqrt(_sum_squares(trial - theta))
+            theta_norm = np.sqrt(_sum_squares(theta))
+            theta = np.where(moved[:, None], trial, theta)
+            r = np.where(moved[:, None], r_trial, r)
+            cost = np.where(moved, trial_cost, cost)
+            iterations += moved
+            converged |= moved & (
+                (cost == 0.0)
+                | (rel_decrease < config.cost_tolerance)
+                | (step_norm <= config.param_tolerance * (theta_norm + config.param_tolerance))
+            )
+        done = converged | (iterations >= config.max_iterations)
+        if done.any():
+            for out, state in zip(result, (theta, cost, iterations, converged)):
+                out[live[done]] = state[done]
+            keep = ~done
+            live, theta, r, cost, lam, iterations, moved, hess, damping, grad = (
+                a[keep] for a in (live, theta, r, cost, lam, iterations, moved, hess, damping, grad)
+            )
+    return result
 
 
-def _best_start(residual_fn, jacobian_fn, starts, config: FitConfig) -> _MinimizeResult:
-    """The lowest-cost minimization over the starts; the earliest wins ties."""
-    runs = (_levenberg_marquardt(residual_fn, jacobian_fn, theta0, config) for theta0 in starts)
-    return min(runs, key=lambda result: result.cost)
+# ---------------------------------------------------------------------------
+# Gaussian kernels fitted to groups of cells: the informed start and the baseline.
+
+
+def _kernel_fns(groups, counts):
+    """Batched residuals and Jacobians of kernels exp(-z^2 / 2), z = (x - mu) / sigma.
+
+    Each group is its cells' positions x, mean ratings y and vote counts n, and
+    their summed within-cell sum of squares ss; all have the same cell count.
+    counts[i] problems, theta = (mu, log sigma), share group i.  Residuals are
+    sqrt(n) * (k - y) plus a constant sqrt(ss), like _FactorizedProblem's.
+    """
+    x, y, n, ss = (np.array([group[c] for group in groups], dtype=float) for c in range(4))
+    weight, root_ss = np.sqrt(n), np.sqrt(ss)
+    group_of = np.repeat(np.arange(len(groups)), counts)
+
+    @np.errstate(all="ignore")
+    def residuals(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        g = group_of[rows]
+        _, k = _kernel_terms(x[g], theta[:, :1], np.exp(theta[:, 1:]))
+        return np.column_stack([weight[g] * (k - y[g]), root_ss[g]])
+
+    @np.errstate(all="ignore")
+    def jacobian(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        g = group_of[rows]
+        sigma = np.exp(theta[:, 1:])
+        z, k = _kernel_terms(x[g], theta[:, :1], sigma)
+        wk = weight[g] * k
+        jac = np.zeros((rows.size, x.shape[1] + 1, 2))  # the constant residual's row stays zero
+        jac[:, :-1, 0] = z * wk / sigma
+        jac[:, :-1, 1] = z * z * wk
+        return jac
+
+    return residuals, jacobian
+
+
+# Residual values per kernel batch (64 KiB arrays).  On the vocab-ladder's 16x16
+# rung the fits raised the peak RSS by about 1.1 MB with one batch of every pair
+# and start, and by about 0.5 MB with batches of this size, at the same speed.
+_KERNEL_BATCH_VALUES = 8192
+
+
+def _fit_kernels(groups, starts, config: FitConfig) -> list[tuple]:
+    """(theta, cost, iterations, converged) of each group's best start, the earliest on ties.
+
+    starts[i] lists group i's (mu, log sigma) starts.  Groups with the same
+    number of cells run in batches over all their starts.  Batches never mix
+    cell counts: zero-weight padding changes BLAS sums in the last bit, so a
+    problem's steps would depend on its batch.
+    """
+    best: list = [None] * len(groups)
+    for size in {len(group[0]) for group in groups}:
+        members = [i for i, group in enumerate(groups) if len(group[0]) == size]
+        per_problem = (size + 1) * max(len(starts[i]) for i in members)
+        step = max(1, _KERNEL_BATCH_VALUES // per_problem)
+        for batch in (members[k : k + step] for k in range(0, len(members), step)):
+            counts = [len(starts[i]) for i in batch]
+            fns = _kernel_fns([groups[i] for i in batch], counts)
+            theta0 = np.concatenate([starts[i] for i in batch])
+            theta, cost, iterations, converged = _levenberg_marquardt(*fns, theta0, config)
+            for i, end, count in zip(batch, np.cumsum(counts), counts):
+                j = end - count + int(np.argmin(cost[end - count : end]))
+                best[i] = (theta[j], float(cost[j]), int(iterations[j]), bool(converged[j]))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +331,10 @@ def _best_start(residual_fn, jacobian_fn, starts, config: FitConfig) -> _Minimiz
 
 
 class _FactorizedProblem:
-    """Vectorized per-vote objective over cell statistics; the last residual is constant."""
+    """Vectorized per-vote objective over cell statistics; the last residual is constant.
+
+    residuals and jacobian take a batch of one problem and ignore rows.
+    """
 
     def __init__(self, data: Dataset, per_cell_means: bool):
         rows = _cells_from_dataset(data, per_cell_means)
@@ -299,20 +371,20 @@ class _FactorizedProblem:
             sigma_a = np.exp(adv[:, 1])
         return sigma_e, mu_a, sigma_a
 
-    def residuals(self, theta: np.ndarray) -> np.ndarray:
-        sigma_e, mu_a, sigma_a = self.split_theta(theta)
+    def residuals(self, theta: np.ndarray, rows=None) -> np.ndarray:
+        sigma_e, mu_a, sigma_a = self.split_theta(theta[0])
         _, k = _composite_terms(
             self.t, sigma_e[self.ev_idx], mu_a[self.ad_idx], sigma_a[self.ad_idx]
         )
         r = self.r_template.copy()
         r[:-1] = self.weight * (k - self.y)
-        return r
+        return r[None]
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+    def jacobian(self, theta: np.ndarray, rows=None) -> np.ndarray:
         return _jacobian(
-            self.t, self.ev_idx, self.ad_idx, self.weight, *self.split_theta(theta),
+            self.t, self.ev_idx, self.ad_idx, self.weight, *self.split_theta(theta[0]),
             self.t.size + 1,
-        )
+        )[None]
 
     def model_from_theta(self, theta: np.ndarray) -> FactorizedModel:
         sigma_e, mu_a, sigma_a = self.split_theta(theta)
@@ -345,7 +417,7 @@ def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfi
     the joint fit close to the global basin.
     """
     x0 = _precedence(problem.t, sigma0[problem.ev_idx])
-    theta_adv = np.empty((problem.n_adverbials, 2))
+    groups, starts = [], []
     for j in range(problem.n_adverbials):
         mask = problem.ad_idx == j
         xs, ys, ns = x0[mask], problem.y[mask], problem.n[mask]
@@ -358,9 +430,9 @@ def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfi
         if var is not None:
             sigma = math.sqrt(var) if var > 0.0 else 0.1
             candidates.append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
-        residual_fn, jacobian_fn = _pair_residual_fns(xs, ys, ns, math.fsum(problem.ss[mask]))
-        theta_adv[j] = _best_start(residual_fn, jacobian_fn, candidates, config).theta
-    return theta_adv
+        groups.append((xs, ys, ns, math.fsum(problem.ss[mask])))
+        starts.append(candidates)
+    return np.array([theta for theta, *_ in _fit_kernels(groups, starts, config)])
 
 
 def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[np.ndarray]:
@@ -413,13 +485,16 @@ def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     max_iterations is returned with converged False rather than raised.
     """
     problem = _FactorizedProblem(data, config.per_cell_means)
-    starts = _factorized_starts(problem, config)
-    best = _best_start(problem.residuals, problem.jacobian, starts, config)
+    runs = [
+        _levenberg_marquardt(problem.residuals, problem.jacobian, theta0[None], config)
+        for theta0 in _factorized_starts(problem, config)
+    ]
+    theta, cost, iterations, converged = min(runs, key=lambda run: run[1][0])  # earliest on ties
     return FitReport(
-        model=problem.model_from_theta(best.theta),
-        final_cost=best.cost,
-        iterations=best.iterations,
-        converged=best.converged,
+        model=problem.model_from_theta(theta[0]),
+        final_cost=float(cost[0]),
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
         residual_count=problem.n_residuals,
         parameter_count=problem.n_params,
     )
@@ -429,44 +504,14 @@ def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
 # Baseline fit.
 
 
-def _pair_residual_fns(t: np.ndarray, y: np.ndarray, n: np.ndarray, ss: float):
-    """Per-vote objective of one Gaussian over cells, like _FactorizedProblem's."""
-    weight = np.sqrt(n)
-    r_template = np.append(np.zeros_like(t), math.sqrt(ss))
-
-    @np.errstate(all="ignore")
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        mu, log_sigma = theta
-        r = r_template.copy()
-        _, k = _kernel_terms(t, mu, np.exp(log_sigma))
-        r[:-1] = weight * (k - y)
-        return r
-
-    @np.errstate(all="ignore")
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        mu, log_sigma = theta
-        jac = np.zeros((t.size + 1, 2))
-        sigma = np.exp(log_sigma)
-        z, k = _kernel_terms(t, mu, sigma)
-        wk = weight * k
-        jac[:-1, 0] = z * wk / sigma
-        jac[:-1, 1] = z * z * wk
-        return jac
-
-    return residuals, jacobian
-
-
-def _pair_starts(t: np.ndarray, y: np.ndarray, n: np.ndarray, rng, count: int) -> list[np.ndarray]:
+def _pair_starts(t: np.ndarray, y: np.ndarray, n: np.ndarray, rng, count: int) -> np.ndarray:
     span = float(t.max() - t.min())
     mu0, var0 = _rating_moments(t, y, n)
     sigma0 = math.sqrt(var0) if var0 else span / 4.0
     sigma0 = max(sigma0, span * 1e-3, 1e-6)
-    base = np.array([mu0, math.log(sigma0)])
-    starts = [base]
-    for _ in range(count - 1):
-        starts.append(
-            base + np.array([rng.uniform(-1.0, 1.0) * span, rng.uniform(-1.5, 1.5)])
-        )
+    starts = np.tile([mu0, math.log(sigma0)], (count, 1))
+    for start in starts[1:]:
+        start += [rng.uniform(-1.0, 1.0) * span, rng.uniform(-1.5, 1.5)]
     return starts
 
 
@@ -482,15 +527,13 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     rows = _cells_from_dataset(data, config.per_cell_means)
     rng = np.random.default_rng(config.seed)
     pairs: list[PairParams] = []
+    costs: list[float] = []
     warnings: list[str] = []
-    total_cost_terms: list[float] = []
-    total_iterations = 0
-    all_converged = True
-
+    keys, groups, starts = [], [], []
     for (event_id, adverbial_id), cells in itertools.groupby(rows, key=lambda row: row[:2]):
         _, _, t, n, y, ss, lo, hi = zip(*cells)
         t, n, y = np.array(t), np.array(n, dtype=float), np.array(y)
-        residual_fn, jacobian_fn = _pair_residual_fns(t, y, n, math.fsum(ss))
+        group = (t, y, n, math.fsum(ss))
         if len(t) < 2 or max(hi) - min(lo) == 0.0:
             mu, _ = _rating_moments(t, y, n)
             sigma = max(float(t.max() - t.min()), 1.0)
@@ -498,24 +541,24 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
                 f"pair ({event_id!r}, {adverbial_id!r}): width not identifiable "
                 f"from degenerate data; fixed sigma at {sigma:g} minutes"
             )
-            r = residual_fn(np.array([mu, math.log(sigma)]))
-            cost = float(r @ r)
+            residual_fn, _ = _kernel_fns([group], [1])
+            r = residual_fn(np.array([[mu, math.log(sigma)]]), np.arange(1))
+            pairs.append(PairParams(event_id, adverbial_id, mu, sigma))
+            costs.append(float(_sum_squares(r)[0]))
         else:
-            starts = _pair_starts(t, y, n, rng, config.multistart_count)
-            best = _best_start(residual_fn, jacobian_fn, starts, config)
-            mu = float(best.theta[0])
-            sigma = float(math.exp(best.theta[1]))
-            cost = best.cost
-            total_iterations += best.iterations
-            all_converged = all_converged and best.converged
-        pairs.append(PairParams(event_id, adverbial_id, mu, sigma))
-        total_cost_terms.append(cost)
+            keys.append((event_id, adverbial_id))
+            groups.append(group)
+            starts.append(_pair_starts(t, y, n, rng, config.multistart_count))
 
+    fits = _fit_kernels(groups, starts, config)
+    for (event_id, adverbial_id), (theta, cost, _, _) in zip(keys, fits):
+        pairs.append(PairParams(event_id, adverbial_id, float(theta[0]), math.exp(theta[1])))
+        costs.append(cost)
     return FitReport(
         model=PairGaussianModel.from_params(pairs),
-        final_cost=math.fsum(total_cost_terms),
-        iterations=total_iterations,
-        converged=all_converged,
+        final_cost=math.fsum(costs),
+        iterations=sum(fit[2] for fit in fits),
+        converged=all(fit[3] for fit in fits),
         residual_count=sum(row[3] for row in rows),
         parameter_count=2 * len(pairs),
         warnings=tuple(warnings),

@@ -436,6 +436,15 @@ class TestExitCodes:
         assert run(["fit", "--data", str(bad), "--out", str(tmp_path / "o.json")]) == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--cost-tolerance", "--param-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_validation_error(self, work, tmp_path, capsys, flag, value):
+        out = tmp_path / "o.json"
+        argv = ["fit", "--data", str(work["noisy_csv"]), "--out", str(out), flag, value]
+        assert run(argv) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unidentifiable_data_is_validation_error(self, tmp_path):
         csv = tmp_path / "flat.csv"
         csv.write_text(
