@@ -31,7 +31,7 @@ def main() -> None:
 
     truth = reference_model()
     data = generate_synthetic(truth, args.times, args.votes, args.noise, args.seed)
-    print(f"synthesized {len(data.records)} records "
+    print(f"synthesized {len(data)} records "
           f"({args.times} times/event, {args.votes} votes/cell, noise {args.noise})")
 
     config = FitConfig(multistart_count=args.multistarts, seed=args.seed)

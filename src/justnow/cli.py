@@ -171,7 +171,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     truth = load_model(args.truth)
     dataset = generate_synthetic(truth, args.times, args.votes, args.noise, args.seed)
     save_csv(dataset, args.out)
-    print(f"wrote {len(dataset.records)} records to {args.out}")
+    print(f"wrote {len(dataset)} records to {args.out}")
     return EXIT_OK
 
 

@@ -66,28 +66,70 @@ class JudgmentRecord:
         object.__setattr__(self, "rating", rating)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable collection of judgments plus provenance metadata."""
+def _encode(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct labels, as an object array, and each label's index into them."""
+    table = sorted(set(labels))
+    index = {label: code for code, label in enumerate(table)}
+    codes = np.array([index[label] for label in labels], dtype=np.intp)
+    return np.array(table, dtype=object), codes
 
-    records: tuple[JudgmentRecord, ...]
-    source: str | None = None
-    likert_scale: int | None = None
-    seed: int | None = None
+
+def _transpose(rows: list[tuple]) -> list[list]:
+    """The six columns of (event, adverbial, value, unit, rating, respondent) rows."""
+    return [[row[i] for row in rows] for i in range(len(CSV_HEADER))]
+
+
+class Dataset:
+    """Judgments stored as columns, one entry per vote, plus provenance metadata.
+
+    event, adverbial and unit index each vote's label in the sorted object
+    arrays event_ids, adverbial_ids and unit_ids.  value is the elapsed time
+    in its unit, minutes the same time in minutes; rating and respondent (a
+    str or None) complete the row.  .records rebuilds the rows.
+    """
+
+    def __init__(self, records, source=None, likert_scale=None, seed=None):
+        rows = [
+            (r.event_id, r.adverbial_id, r.elapsed.value, r.elapsed.unit, r.rating, r.respondent_id)
+            for r in records
+        ]
+        self._fill(*_transpose(rows), source, likert_scale, seed)
+
+    @classmethod
+    def _from_columns(cls, *columns, **metadata) -> Dataset:
+        data = cls.__new__(cls)
+        data._fill(*columns, **metadata)
+        return data
+
+    def _fill(
+        self, events, adverbials, values, units, ratings, respondents,
+        source=None, likert_scale=None, seed=None,
+    ) -> None:
+        self.event_ids, self.event = _encode(events)
+        self.adverbial_ids, self.adverbial = _encode(adverbials)
+        self.unit_ids, self.unit = _encode(units)
+        self.value = np.array(values, dtype=float)
+        self.minutes = self.value * np.array([UNIT_MINUTES[u] for u in self.unit_ids])[self.unit]
+        self.rating = np.array(ratings, dtype=float)
+        self.respondent = tuple(respondents)
+        self.source, self.likert_scale, self.seed = source, likert_scale, seed
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rating)
 
     def __iter__(self):
         return iter(self.records)
 
-    def columns(self) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-        """(event ids, adverbial ids, elapsed minutes, ratings), one entry per record."""
-        return (
-            [r.event_id for r in self.records],
-            [r.adverbial_id for r in self.records],
-            np.array([r.elapsed.to_minutes() for r in self.records], dtype=float),
-            np.array([r.rating for r in self.records], dtype=float),
+    @property
+    def records(self) -> tuple[JudgmentRecord, ...]:
+        """The rows as JudgmentRecords, rebuilt on every access."""
+        columns = (
+            self.event_ids[self.event], self.adverbial_ids[self.adverbial], self.value.tolist(),
+            self.unit_ids[self.unit], self.rating.tolist(), self.respondent,
+        )
+        return tuple(
+            JudgmentRecord(event_id, adverbial_id, Duration(value, unit), rating, who)
+            for event_id, adverbial_id, value, unit, rating, who in zip(*columns)
         )
 
 
@@ -101,13 +143,13 @@ def normalize_likert(raw: int, scale_min: int = 1, scale_max: int = 5) -> float:
 
 
 def load_csv(path: str | os.PathLike) -> Dataset:
-    """Read a judgment CSV; raises CsvError with a line number on any bad row."""
+    """Read a judgment CSV; raises CsvError with a line number on the first bad row."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != CSV_HEADER:
             raise CsvError(1, f"expected header {','.join(CSV_HEADER)!r}")
-        records: list[JudgmentRecord] = []
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -124,16 +166,16 @@ def load_csv(path: str | os.PathLike) -> Dataset:
                 rating = float(rating_text)
             except ValueError:
                 raise CsvError(lineno, f"bad rating {rating_text!r}") from None
-            if not math.isfinite(rating) or not 0.0 <= rating <= 1.0:
+            if not 0.0 <= rating <= 1.0:
                 raise CsvError(lineno, f"rating {rating_text!r} outside [0, 1]")
-            try:
-                elapsed = Duration(value, canonical_unit(unit))
-            except (UnknownUnitError, DomainError) as exc:
-                raise CsvError(lineno, str(exc)) from None
-            records.append(
-                JudgmentRecord(event_id, adverbial_id, elapsed, rating, respondent or None)
-            )
-    return Dataset(tuple(records), source=str(path))
+            unit = canonical_unit(unit)
+            if unit not in UNIT_MINUTES or not 0.0 <= value < math.inf:
+                try:
+                    Duration(value, unit)  # raises with the message for this value and unit
+                except (UnknownUnitError, DomainError) as exc:
+                    raise CsvError(lineno, str(exc)) from None
+            rows.append((event_id, adverbial_id, value, unit, rating, respondent or None))
+    return Dataset._from_columns(*_transpose(rows), source=str(path))
 
 
 def save_csv(dataset: Dataset, path: str | os.PathLike) -> None:
@@ -141,17 +183,16 @@ def save_csv(dataset: Dataset, path: str | os.PathLike) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in dataset.records:
-            writer.writerow(
-                [
-                    rec.event_id,
-                    rec.adverbial_id,
-                    f"{rec.elapsed.value:.9g}",
-                    rec.elapsed.unit,
-                    f"{rec.rating:.9g}",
-                    rec.respondent_id or "",
-                ]
+        writer.writerows(
+            zip(
+                dataset.event_ids[dataset.event].tolist(),
+                dataset.adverbial_ids[dataset.adverbial].tolist(),
+                [f"{value:.9g}" for value in dataset.value.tolist()],
+                dataset.unit_ids[dataset.unit].tolist(),
+                [f"{rating:.9g}" for rating in dataset.rating.tolist()],
+                [who or "" for who in dataset.respondent],
             )
+        )
 
 
 def generate_synthetic(
@@ -167,6 +208,7 @@ def generate_synthetic(
     which brackets the precedence curve's transition region.  Every
     (event, adverbial, time) cell receives ``votes_per_cell`` ratings equal
     to the composite probability plus Gaussian noise, clamped to [0, 1].
+    Rows run over events, adverbials, times and votes, in that nesting.
     Noise comes from numpy's default PCG64 generator seeded with ``seed``;
     with ``noise_sd == 0`` the generator is never consulted and ratings are
     the exact model values.
@@ -180,33 +222,22 @@ def generate_synthetic(
     if not math.isfinite(noise_sd) or noise_sd < 0.0:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
 
-    event_ids = sorted(truth.events)
     adverbial_ids = sorted(truth.adverbials)
-    total = len(event_ids) * len(adverbial_ids) * times_per_event * votes_per_cell
-    noise = None
+    cells = []
+    for event_id in sorted(truth.events):
+        sigma_e = truth.events[event_id].sigma_e
+        times = np.geomspace(sigma_e / 100.0, 100.0 * sigma_e, times_per_event).tolist()
+        cells += [(event_id, adverbial_id, t) for adverbial_id in adverbial_ids for t in times]
+    rating = np.repeat(truth.predict(*zip(*cells)), votes_per_cell)
     if noise_sd > 0.0:
-        noise = np.random.default_rng(seed).normal(0.0, noise_sd, size=total)
+        noise = np.random.default_rng(seed).normal(0.0, noise_sd, size=rating.size)
+        rating = np.clip(rating + noise, 0.0, 1.0)
 
     # Zero-padded respondent labels keep lexicographic and numeric order aligned.
     pad = len(str(votes_per_cell - 1))
-    respondents = [f"p{v:0{pad}d}" for v in range(votes_per_cell)]
-
-    records: list[JudgmentRecord] = []
-    index = 0
-    for event_id in event_ids:
-        sigma_e = truth.events[event_id].sigma_e
-        times = np.geomspace(sigma_e / 100.0, 100.0 * sigma_e, times_per_event)
-        for adverbial_id in adverbial_ids:
-            probabilities = truth.predict([event_id], [adverbial_id], times)
-            for t, p in zip(times.tolist(), probabilities.tolist()):
-                elapsed = Duration(t, "minute")
-                for respondent in respondents:
-                    if noise is None:
-                        rating = p
-                    else:
-                        rating = min(1.0, max(0.0, p + noise[index]))
-                    records.append(
-                        JudgmentRecord(event_id, adverbial_id, elapsed, rating, respondent)
-                    )
-                    index += 1
-    return Dataset(tuple(records), source="synthetic", seed=seed)
+    respondents = tuple(f"p{v:0{pad}d}" for v in range(votes_per_cell))
+    columns = (np.repeat(np.array(c, dtype=object), votes_per_cell) for c in zip(*cells))
+    return Dataset._from_columns(
+        *columns, ("minute",) * rating.size, rating, respondents * len(cells),
+        source="synthetic", seed=seed,
+    )

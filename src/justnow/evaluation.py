@@ -44,23 +44,22 @@ class AccuracyReport:
 
 def accuracy(model: FactorizedModel | PairGaussianModel, data: Dataset) -> AccuracyReport:
     """Mean absolute deviation between model predictions and ratings."""
-    if not data.records:
+    if not len(data):
         raise ValueError("dataset is empty")
-    event_ids, adverbial_ids, minutes, ratings = data.columns()
-    errors = np.abs(model.predict(event_ids, adverbial_ids, minutes) - ratings).tolist()
+    event_ids, adverbial_ids = data.event_ids[data.event], data.adverbial_ids[data.adverbial]
+    errors = np.abs(model.predict(event_ids, adverbial_ids, data.minutes) - data.rating)
     return AccuracyReport(
-        per_event=_group_means(event_ids, errors),
-        per_adverbial=_group_means(adverbial_ids, errors),
-        overall=math.fsum(errors) / len(errors),
+        per_event=_group_means(data.event_ids, data.event, errors),
+        per_adverbial=_group_means(data.adverbial_ids, data.adverbial, errors),
+        overall=math.fsum(errors.tolist()) / len(errors),
     )
 
 
-def _group_means(keys: list[str], errors: list[float]) -> dict[str, float]:
-    groups: dict[str, list[float]] = {}
-    for key, error in zip(keys, errors):
-        groups.setdefault(key, []).append(error)
+def _group_means(ids: np.ndarray, codes: np.ndarray, errors: np.ndarray) -> dict[str, float]:
+    """Mean error of the votes whose code indexes each id."""
+    groups = np.split(errors[np.argsort(codes)], np.cumsum(np.bincount(codes))[:-1])
     # fsum keeps the means independent of record order.
-    return {key: math.fsum(errs) / len(errs) for key, errs in groups.items()}
+    return {key: math.fsum(group.tolist()) / group.size for key, group in zip(ids, groups)}
 
 
 @dataclass(frozen=True)

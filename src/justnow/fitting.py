@@ -16,9 +16,7 @@ sum to the per-vote cost.  Fits are bit-for-bit the same for any record order.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,32 +120,44 @@ def _jacobian(t, ev_idx, ad_idx, weight, sigma_e, mu_a, sigma_a, n_rows) -> np.n
 # Cell statistics and canonical ordering.
 
 
-def _cells_from_dataset(data: Dataset, per_cell_means: bool):
-    """(event, adverbial, t_minutes, n, mean, ss, min, max) per cell, in canonical order.
+def _runs(*columns: np.ndarray) -> list[slice]:
+    """Slices of the runs of rows that are equal in every one of the sorted columns."""
+    changes = np.any([np.append(True, c[1:] != c[:-1]) for c in columns], axis=0)
+    bounds = np.flatnonzero(changes).tolist() + [changes.size]
+    return [slice(begin, end) for begin, end in zip(bounds, bounds[1:])]
 
-    per_cell_means makes every cell a single vote at its mean rating.
+
+def _cells_from_dataset(data: Dataset, per_cell_means: bool):
+    """(event, adverbial, t_minutes, n, mean, ss, min, max) arrays, one entry per cell.
+
+    Cells are sorted by (event, adverbial, minutes); event and adverbial index
+    data's id tables.  per_cell_means makes every cell a single vote at its
+    mean rating.
     """
-    if not data.records:
+    if not len(data):
         raise ValueError("dataset is empty")
-    cells: dict[tuple[str, str, float], list[float]] = {}
-    for r in data.records:
-        cells.setdefault((r.event_id, r.adverbial_id, r.elapsed.to_minutes()), []).append(r.rating)
-    rows = []
-    for key in sorted(cells):
-        ratings = cells[key]
-        # fsum is exactly rounded, so both sums are independent of vote order.
-        mean = math.fsum(ratings) / len(ratings)
+    # Rating is the last sort key, so each cell's votes arrive sorted: min and
+    # max are its ends, and no statistic depends on record order.
+    order = np.lexsort((data.rating, data.minutes, data.adverbial, data.event))
+    event, adverbial, t = data.event[order], data.adverbial[order], data.minutes[order]
+    runs = _runs(event, adverbial, t)
+    ratings = data.rating[order].tolist()
+    stats = []
+    for run in runs:
+        cell = ratings[run]
+        # fsum is exactly rounded, so the sums match any summation order.
+        mean = math.fsum(cell) / len(cell)
         if per_cell_means:
-            ratings = [mean]
-        ss = math.fsum((y - mean) ** 2 for y in ratings)
-        rows.append((*key, len(ratings), mean, ss, min(ratings), max(ratings)))
-    return rows
+            cell = [mean]
+        stats.append((len(cell), mean, math.fsum((y - mean) ** 2 for y in cell), cell[0], cell[-1]))
+    first = [run.start for run in runs]
+    return (event[first], adverbial[first], t[first], *map(np.array, zip(*stats)))
 
 
 def residuals_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
     """Per-record residuals, prediction minus rating, in dataset order."""
-    event_ids, adverbial_ids, minutes, ratings = data.columns()
-    return model.predict(event_ids, adverbial_ids, minutes) - ratings
+    event_ids, adverbial_ids = data.event_ids[data.event], data.adverbial_ids[data.adverbial]
+    return model.predict(event_ids, adverbial_ids, data.minutes) - data.rating
 
 
 def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
@@ -157,14 +167,15 @@ def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
     adverbial in sorted id order its (mu_a, log sigma_a) pair.  Entries for
     parameters a record's pair does not involve are exactly zero.
     """
-    event_col, adverbial_col, minutes, _ = data.columns()
     event_ids, adverbial_ids = sorted(model.events), sorted(model.adverbials)
-    ev_idx = _lookup({eid: i for i, eid in enumerate(event_ids)}, event_col, "event")
-    ad_idx = _lookup({aid: j for j, aid in enumerate(adverbial_ids)}, adverbial_col, "adverbial")
+    # The model's index of each of the data's ids, then of each vote's.
+    ev_idx = _lookup({e: i for i, e in enumerate(event_ids)}, data.event_ids, "event")
+    ad_idx = _lookup({a: j for j, a in enumerate(adverbial_ids)}, data.adverbial_ids, "adverbial")
+    ev_idx = np.array(ev_idx, dtype=int)[data.event]
+    ad_idx = np.array(ad_idx, dtype=int)[data.adverbial]
     sigma_e = np.array([model.events[eid].sigma_e for eid in event_ids])
     return _jacobian(
-        minutes, np.array(ev_idx, dtype=int), np.array(ad_idx, dtype=int), 1.0,
-        sigma_e, *model._kernel_params(adverbial_ids), minutes.size,
+        data.minutes, ev_idx, ad_idx, 1.0, sigma_e, *model._kernel_params(adverbial_ids), len(data),
     )
 
 
@@ -337,29 +348,20 @@ class _FactorizedProblem:
     """
 
     def __init__(self, data: Dataset, per_cell_means: bool):
-        rows = _cells_from_dataset(data, per_cell_means)
-        event_col, adverbial_col, t, n, y, ss, _, _ = zip(*rows)
-        self.event_ids = sorted(set(event_col))
-        self.adverbial_ids = sorted(set(adverbial_col))
-        ev_index = {eid: i for i, eid in enumerate(self.event_ids)}
-        ad_index = {aid: i for i, aid in enumerate(self.adverbial_ids)}
-        self.t = np.array(t, dtype=float)
-        self.n = np.array(n, dtype=int)
-        self.y = np.array(y, dtype=float)
-        self.ss = np.array(ss, dtype=float)
+        cells = _cells_from_dataset(data, per_cell_means)
+        self.ev_idx, self.ad_idx, self.t, self.n, self.y, self.ss, _, _ = cells
+        self.event_ids, self.adverbial_ids = data.event_ids, data.adverbial_ids
         self.weight = np.sqrt(self.n)
-        self.r_template = np.append(np.zeros_like(self.t), math.sqrt(math.fsum(ss)))
-        self.ev_idx = np.array([ev_index[e] for e in event_col], dtype=int)
-        self.ad_idx = np.array([ad_index[a] for a in adverbial_col], dtype=int)
+        self.r_template = np.append(np.zeros_like(self.t), math.sqrt(math.fsum(self.ss.tolist())))
         self.n_residuals = int(self.n.sum())
         self.n_events = len(self.event_ids)
         self.n_adverbials = len(self.adverbial_ids)
         self.n_params = self.n_events + 2 * self.n_adverbials
-        pair_cells = Counter(zip(event_col, adverbial_col))
-        for (event_id, adverbial_id), cells in sorted(pair_cells.items()):
-            if cells < 2:
+        for pair in _runs(self.ev_idx, self.ad_idx):
+            if pair.stop - pair.start < 2:
                 raise ValueError(
-                    f"pair ({event_id!r}, {adverbial_id!r}) has fewer than 2 distinct "
+                    f"pair ({self.event_ids[self.ev_idx[pair.start]]!r}, "
+                    f"{self.adverbial_ids[self.ad_idx[pair.start]]!r}) has fewer than 2 distinct "
                     "elapsed times; the fit is not identifiable"
                 )
 
@@ -436,18 +438,16 @@ def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfi
 
 
 def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[np.ndarray]:
-    """Initial points: a fixed spread start, an informed start, perturbations.
+    """Initial points, first multistart_count of: informed, spread, perturbations.
 
-    The spread start puts sigma_e at each event's median vote time and
-    the kernel means evenly over [0.3, 1.0] with width 0.1.  The informed
-    start keeps those event widths but solves each kernel separately first;
-    the remaining starts are seeded perturbations of the informed one.
+    Both fixed starts put sigma_e at each event's median vote time.  The
+    informed start solves each kernel separately against those widths; the
+    spread start puts the kernel means evenly over [0.3, 1.0] with width 0.1.
+    The remaining starts are seeded perturbations of the informed one, so a
+    single start is the informed one.
     """
-    sigma0 = np.empty(problem.n_events)
-    for i in range(problem.n_events):
-        mask = problem.ev_idx == i
-        sigma0[i] = np.median(np.repeat(problem.t[mask], problem.n[mask]))
-    sigma0 = np.maximum(sigma0, 1e-9)
+    event_votes = (np.repeat(problem.t[run], problem.n[run]) for run in _runs(problem.ev_idx))
+    sigma0 = np.maximum([np.median(votes) for votes in event_votes], 1e-9)
     if problem.n_adverbials == 1:
         mu0 = np.array([0.65])
     else:
@@ -455,13 +455,9 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
     spread = np.concatenate(
         [np.log(sigma0), np.column_stack([mu0, np.full_like(mu0, math.log(0.1))]).ravel()]
     )
-    starts = [spread]
-    if config.multistart_count == 1:
-        return starts
-
     informed = spread.copy()
     informed[problem.n_events :] = _informed_kernel_start(problem, sigma0, config).ravel()
-    starts.append(informed)
+    starts = [informed, spread][: config.multistart_count]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.multistart_count - 2):
         pert = informed.copy()
@@ -524,19 +520,20 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     time span with a one-minute floor, and the pair is reported in warnings.
     iterations is the sum of accepted steps across pairs.
     """
-    rows = _cells_from_dataset(data, config.per_cell_means)
+    event, adverbial, t, n, y, ss, lo, hi = _cells_from_dataset(data, config.per_cell_means)
     rng = np.random.default_rng(config.seed)
     pairs: list[PairParams] = []
     costs: list[float] = []
     warnings: list[str] = []
     keys, groups, starts = [], [], []
-    for (event_id, adverbial_id), cells in itertools.groupby(rows, key=lambda row: row[:2]):
-        _, _, t, n, y, ss, lo, hi = zip(*cells)
-        t, n, y = np.array(t), np.array(n, dtype=float), np.array(y)
-        group = (t, y, n, math.fsum(ss))
-        if len(t) < 2 or max(hi) - min(lo) == 0.0:
-            mu, _ = _rating_moments(t, y, n)
-            sigma = max(float(t.max() - t.min()), 1.0)
+    for cells in _runs(event, adverbial):
+        event_id = data.event_ids[event[cells.start]]
+        adverbial_id = data.adverbial_ids[adverbial[cells.start]]
+        ts, ys, ns = t[cells], y[cells], n[cells]
+        group = (ts, ys, ns, math.fsum(ss[cells].tolist()))
+        if len(ts) < 2 or hi[cells].max() - lo[cells].min() == 0.0:
+            mu, _ = _rating_moments(ts, ys, ns)
+            sigma = max(float(ts.max() - ts.min()), 1.0)
             warnings.append(
                 f"pair ({event_id!r}, {adverbial_id!r}): width not identifiable "
                 f"from degenerate data; fixed sigma at {sigma:g} minutes"
@@ -548,7 +545,7 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
         else:
             keys.append((event_id, adverbial_id))
             groups.append(group)
-            starts.append(_pair_starts(t, y, n, rng, config.multistart_count))
+            starts.append(_pair_starts(ts, ys, ns, rng, config.multistart_count))
 
     fits = _fit_kernels(groups, starts, config)
     for (event_id, adverbial_id), (theta, cost, _, _) in zip(keys, fits):
@@ -559,7 +556,7 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
         final_cost=math.fsum(costs),
         iterations=sum(fit[2] for fit in fits),
         converged=all(fit[3] for fit in fits),
-        residual_count=sum(row[3] for row in rows),
+        residual_count=int(n.sum()),
         parameter_count=2 * len(pairs),
         warnings=tuple(warnings),
     )

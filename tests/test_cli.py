@@ -1,6 +1,7 @@
 """End-to-end command tests, all driven through cli.run()."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,24 @@ class TestFit:
         assert out.exists()
         assert json.loads(out.read_text())["converged"] is False
         assert "converge" in capsys.readouterr().err
+
+    def test_single_start_reaches_below_the_truth_cost(self, repo_root, tmp_path):
+        # On this survey a lone spread start collapses a kernel width to zero;
+        # a single start is the informed one, which reaches the best basin.
+        ref = repo_root / "reference_model.json"
+        csv_path = tmp_path / "survey.csv"
+        out = tmp_path / "single.json"
+        assert run([
+            "synthesize", "--truth", str(ref), "--times", "7", "--votes", "100",
+            "--noise", "0.1", "--seed", "42", "--out", str(csv_path),
+        ]) == EXIT_OK
+        assert run([
+            "fit", "--data", str(csv_path), "--out", str(out), "--multistarts", "1",
+        ]) == EXIT_OK
+        r = residuals_factorized(load_model(ref), load_csv(csv_path))
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is True
+        assert doc["final_cost"] <= math.fsum(r * r)
 
     def test_per_cell_means_flag(self, work):
         out = work["root"] / "cells.json"

@@ -1,7 +1,8 @@
+import csv
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from justnow.data import (
@@ -14,6 +15,8 @@ from justnow.data import (
     normalize_likert,
     save_csv,
 )
+from justnow.evaluation import accuracy
+from justnow.fitting import FitConfig, fit_baseline, fit_factorized
 from justnow.model import (
     AdverbialParams,
     Duration,
@@ -151,6 +154,24 @@ class TestCsv:
             load_csv(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("Vacation,Recently,1,month,1.5,p01", "Vacation,Recently,1,fortnight,0.8,p01"),
+            ("Vacation,Recently,1,fortnight,0.8,p01", "Vacation,Recently,1,month,1.5,p01"),
+            ("Vacation,Recently,-1,month,0.8,p01", "Vacation,Recently,1,month"),
+        ],
+    )
+    def test_first_of_two_bad_rows_reported(self, tmp_path, first, second):
+        path = self._write(
+            tmp_path,
+            [",".join(CSV_HEADER), "Vacation,Recently,1,month,0.8,p01", first, "", second],
+        )
+        with pytest.raises(CsvError) as err:
+            load_csv(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith("line 3: ")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = self._write(
             tmp_path,
@@ -180,6 +201,91 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         save_csv(data, path)
         assert path.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+
+
+# Spellings the CSV accepts for each unit; all load as the first one.
+UNIT_SPELLINGS = {
+    "minute": ["minute", "minutes", "Minutes"],
+    "hour": ["hour", "Hours", " HOUR "],
+    "day": ["day", "days", "DAYS"],
+}
+
+
+def _vote(event_id, adverbial_id, value, unit, rating, who):
+    return JudgmentRecord(event_id, adverbial_id, Duration(value, unit), rating, who)
+
+
+# 60 minutes and 1 hour are one cell written two ways; two ids of each kind
+# and few times make repeated cells, degenerate pairs and unfittable pairs.
+votes = st.builds(
+    _vote,
+    st.sampled_from(["Vacation", "Birthday"]),
+    st.sampled_from(["Just", "Recently"]),
+    st.sampled_from([1.0, 2.5, 60.0]),
+    st.sampled_from(sorted(UNIT_SPELLINGS)),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.sampled_from([None, "p1", "p2"]),
+)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestDatasetConstruction:
+    """A CSV and JudgmentRecords give the same columns, records, fits and scores."""
+
+    @given(rows=st.lists(votes, min_size=12, max_size=48), draw=st.data())
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_csv_and_records_agree(self, tmp_path, rows, draw):
+        path = tmp_path / "votes.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for r in rows:
+                spelling = draw.draw(st.sampled_from(UNIT_SPELLINGS[r.elapsed.unit]))
+                writer.writerow([
+                    r.event_id, r.adverbial_id, repr(r.elapsed.value), spelling,
+                    repr(r.rating), r.respondent_id or "",
+                ])
+        loaded = load_csv(path)
+        built = Dataset(rows)
+        assert built.records == tuple(rows)
+        assert loaded.records == built.records
+        assert len(loaded) == len(built) == len(rows)
+
+        # Another order of the same votes fits and scores bit for bit the same.
+        shuffled = Dataset(draw.draw(st.permutations(rows)))
+        config = FitConfig(multistart_count=2)
+        for fit in (fit_factorized, fit_baseline):
+            report = _outcome(fit, loaded, config)
+            assert _outcome(fit, shuffled, config) == report
+            if isinstance(report, tuple):
+                continue
+            assert accuracy(report.model, loaded) == accuracy(report.model, shuffled)
+
+    def test_columns(self):
+        data = Dataset([
+            _vote("Vacation", "Just", 2.0, "day", 0.25, "p1"),
+            _vote("Birthday", "Just", 60.0, "minute", 1.0, None),
+            _vote("Vacation", "Recently", 1.0, "hour", 0.5, "p1"),
+        ])
+        assert list(data.event_ids) == ["Birthday", "Vacation"]
+        assert data.event.tolist() == [1, 0, 1]
+        assert list(data.adverbial_ids) == ["Just", "Recently"]
+        assert data.adverbial.tolist() == [0, 0, 1]
+        assert list(data.unit_ids[data.unit]) == ["day", "minute", "hour"]
+        assert data.value.tolist() == [2.0, 60.0, 1.0]
+        assert data.minutes.tolist() == [2880.0, 60.0, 60.0]
+        assert data.rating.tolist() == [0.25, 1.0, 0.5]
+        assert data.respondent == ("p1", None, "p1")
+        assert list(data) == list(data.records)
 
 
 class TestGenerateSynthetic:

@@ -12,6 +12,7 @@ from justnow.fitting import (
     FitConfig,
     FitReport,
     _FactorizedProblem,
+    _factorized_starts,
     _fit_kernels,
     _levenberg_marquardt,
     _solve,
@@ -370,6 +371,22 @@ class TestFitFactorized:
         a = fit_factorized(data, config)
         b = fit_factorized(Dataset(tuple(shuffled)), config)
         assert a == b
+
+
+class TestFactorizedStarts:
+    def test_order_is_informed_spread_perturbations(self, tiny_truth):
+        data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
+        problem = _FactorizedProblem(data, per_cell_means=False)
+        starts = _factorized_starts(problem, FitConfig(multistart_count=4, seed=9))
+        for count in (1, 2, 3):
+            prefix = _factorized_starts(problem, FitConfig(multistart_count=count, seed=9))
+            assert len(prefix) == count
+            assert all(np.array_equal(a, b) for a, b in zip(prefix, starts))
+        informed, spread = starts[:2]
+        # Both fixed starts share the event widths; only the kernels differ.
+        assert np.array_equal(informed[:2], spread[:2])
+        assert not np.array_equal(informed[2:], spread[2:])
+        assert np.array_equal(spread[2:], [0.3, math.log(0.1), 1.0, math.log(0.1)])
 
 
 class TestFitBaseline:
