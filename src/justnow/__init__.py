@@ -6,100 +6,16 @@ two predicts how acceptable "just"-style adverbials are at a given elapsed
 time.  The package also ships a non-factorized per-pair Gaussian baseline,
 least-squares fitting for both families, accuracy evaluation, a synthetic
 survey generator, and a CLI (`justnow`).
+
+Every public name of the four library modules is re-exported here.
 """
 
-from .data import (
-    CSV_HEADER,
-    CsvError,
-    Dataset,
-    JudgmentRecord,
-    generate_synthetic,
-    load_csv,
-    normalize_likert,
-    save_csv,
-)
-from .evaluation import (
-    AccuracyReport,
-    ExtendabilityRow,
-    accuracy,
-    compare,
-    extendability_table,
-)
-from .fitting import (
-    FitConfig,
-    FitReport,
-    fit_baseline,
-    fit_factorized,
-    jacobian_factorized,
-    residuals_factorized,
-)
-from .model import (
-    UNIT_MINUTES,
-    AdverbialParams,
-    DomainError,
-    Duration,
-    EventParams,
-    FactorizedModel,
-    PairGaussianModel,
-    PairParams,
-    UnknownIdError,
-    UnknownUnitError,
-    adverbial_applicability,
-    baseline_probability,
-    best_adverbial,
-    composite_probability,
-    erf,
-    event_precedence,
-    load_any_model,
-    load_baseline,
-    load_model,
-    reference_model,
-    save_baseline,
-    save_model,
-)
+from . import data, evaluation, fitting, model
+from .data import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .fitting import *  # noqa: F403
+from .model import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "UNIT_MINUTES",
-    "AdverbialParams",
-    "DomainError",
-    "Duration",
-    "EventParams",
-    "FactorizedModel",
-    "PairGaussianModel",
-    "PairParams",
-    "UnknownIdError",
-    "UnknownUnitError",
-    "adverbial_applicability",
-    "baseline_probability",
-    "best_adverbial",
-    "composite_probability",
-    "erf",
-    "event_precedence",
-    "load_any_model",
-    "load_baseline",
-    "load_model",
-    "reference_model",
-    "save_baseline",
-    "save_model",
-    "CSV_HEADER",
-    "CsvError",
-    "Dataset",
-    "JudgmentRecord",
-    "generate_synthetic",
-    "load_csv",
-    "normalize_likert",
-    "save_csv",
-    "FitConfig",
-    "FitReport",
-    "fit_baseline",
-    "fit_factorized",
-    "jacobian_factorized",
-    "residuals_factorized",
-    "AccuracyReport",
-    "ExtendabilityRow",
-    "accuracy",
-    "compare",
-    "extendability_table",
-]
+__all__ = [*model.__all__, *data.__all__, *fitting.__all__, *evaluation.__all__]

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,14 @@ from .evaluation import (
     format_extendability_table,
 )
 from .fitting import FitConfig, FitReport, fit_baseline, fit_factorized
-from .model import Duration, best_adverbial, load_any_model, load_baseline, load_model
+from .model import (
+    Duration,
+    _write_document,
+    best_adverbial,
+    load_any_model,
+    load_baseline,
+    load_model,
+)
 
 __all__ = ["run", "main"]
 
@@ -45,36 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iterations", type=int, default=500)
-    parser.add_argument("--cost-tolerance", type=float, default=1e-10)
-    parser.add_argument("--param-tolerance", type=float, default=1e-8)
-    parser.add_argument("--multistarts", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--per-cell-means",
-        action="store_true",
-        help="give each cell's mean rating unit weight instead of weighting by votes",
-    )
-
-
-def _fit_config(args: argparse.Namespace) -> FitConfig:
-    return FitConfig(
-        max_iterations=args.max_iterations,
-        cost_tolerance=args.cost_tolerance,
-        param_tolerance=args.param_tolerance,
-        multistart_count=args.multistarts,
-        seed=args.seed,
-        per_cell_means=args.per_cell_means,
-    )
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _report_payload(report: FitReport) -> dict:
     payload = report.model.to_dict()
     payload.update(
@@ -89,8 +66,13 @@ def _report_payload(report: FitReport) -> dict:
     return payload
 
 
-def _finish_fit(report: FitReport, out: str) -> int:
-    _write_json(out, _report_payload(report))
+def _cmd_fit(args: argparse.Namespace) -> int:
+    """fit and fit-baseline: flags the user gave override FitConfig's defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(FitConfig) if f.name in args}
+    # Looked up per call, not stored in the parser, so a rebound name is honoured.
+    fit = fit_factorized if args.subcommand == "fit" else fit_baseline
+    report = fit(load_csv(args.data), FitConfig(**given))
+    _write_document(args.out, _report_payload(report))
     print(
         f"cost={report.final_cost:.6g} iterations={report.iterations} "
         f"converged={report.converged} residuals={report.residual_count} "
@@ -102,18 +84,6 @@ def _finish_fit(report: FitReport, out: str) -> int:
         print("warning: fit did not converge; wrote best parameters found", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
-
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    data = load_csv(args.data)
-    report = fit_factorized(data, _fit_config(args))
-    return _finish_fit(report, args.out)
-
-
-def _cmd_fit_baseline(args: argparse.Namespace) -> int:
-    data = load_csv(args.data)
-    report = fit_baseline(data, _fit_config(args))
-    return _finish_fit(report, args.out)
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -135,7 +105,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = accuracy(model, data)
     print(format_accuracy_report(report))
     if args.out:
-        _write_json(args.out, report.to_dict())
+        _write_document(args.out, report.to_dict())
     return EXIT_OK
 
 
@@ -145,7 +115,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     doc = compare(factorized, baseline, load_csv(args.data))
     print(format_accuracy_comparison(doc))
     if args.out:
-        _write_json(args.out, doc)
+        _write_document(args.out, doc)
     return EXIT_OK
 
 
@@ -163,7 +133,7 @@ def _cmd_extendability(args: argparse.Namespace) -> int:
     rows = extendability_table(_parse_counts(args.events), _parse_counts(args.adverbials))
     print(format_extendability_table(rows))
     if args.out:
-        _write_json(args.out, {"rows": [row.to_dict() for row in rows]})
+        _write_document(args.out, {"rows": [row.to_dict() for row in rows]})
     return EXIT_OK
 
 
@@ -201,19 +171,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="justnow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("fit", help="fit the factorized model to a CSV")
-    p.add_argument("--data", required=True, help="judgment CSV path")
-    p.add_argument("--out", required=True, help="output model+report JSON path")
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser(
-        "fit-baseline", help="fit the per-pair baseline to a CSV"
-    )
-    p.add_argument("--data", required=True, help="judgment CSV path")
-    p.add_argument("--out", required=True, help="output model+report JSON path")
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_fit_baseline)
+    for name, family in (("fit", "factorized model"), ("fit-baseline", "per-pair baseline")):
+        # Unset flags stay out of the namespace, so FitConfig holds every default.
+        p = sub.add_parser(
+            name, help=f"fit the {family} to a CSV", argument_default=argparse.SUPPRESS
+        )
+        p.add_argument("--data", required=True, help="judgment CSV path")
+        p.add_argument("--out", required=True, help="output model+report JSON path")
+        p.add_argument("--max-iterations", type=int)
+        p.add_argument("--cost-tolerance", type=float)
+        p.add_argument("--param-tolerance", type=float)
+        p.add_argument("--multistarts", type=int, dest="multistart_count")
+        p.add_argument("--seed", type=int)
+        p.add_argument(
+            "--per-cell-means",
+            action="store_true",
+            help="give each cell's mean rating unit weight instead of weighting by votes",
+        )
+        p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser(
         "predict", help="per-adverbial probabilities for one event"

@@ -88,12 +88,12 @@ class Dataset:
     str or None) complete the row.  .records rebuilds the rows.
     """
 
-    def __init__(self, records, source=None, likert_scale=None, seed=None):
+    def __init__(self, records, source=None, seed=None):
         rows = [
             (r.event_id, r.adverbial_id, r.elapsed.value, r.elapsed.unit, r.rating, r.respondent_id)
             for r in records
         ]
-        self._fill(*_transpose(rows), source, likert_scale, seed)
+        self._fill(*_transpose(rows), source, seed)
 
     @classmethod
     def _from_columns(cls, *columns, **metadata) -> Dataset:
@@ -102,8 +102,7 @@ class Dataset:
         return data
 
     def _fill(
-        self, events, adverbials, values, units, ratings, respondents,
-        source=None, likert_scale=None, seed=None,
+        self, events, adverbials, values, units, ratings, respondents, source=None, seed=None
     ) -> None:
         self.event_ids, self.event = _encode(events)
         self.adverbial_ids, self.adverbial = _encode(adverbials)
@@ -112,7 +111,7 @@ class Dataset:
         self.minutes = self.value * np.array([UNIT_MINUTES[u] for u in self.unit_ids])[self.unit]
         self.rating = np.array(ratings, dtype=float)
         self.respondent = tuple(respondents)
-        self.source, self.likert_scale, self.seed = source, likert_scale, seed
+        self.source, self.seed = source, seed
 
     def __len__(self) -> int:
         return len(self.rating)
@@ -150,12 +149,13 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         if header is None or [h.strip() for h in header] != CSV_HEADER:
             raise CsvError(1, f"expected header {','.join(CSV_HEADER)!r}")
         rows = []
+        units: dict[str, str] = {}  # each spelling in the file, canonicalized once
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(CSV_HEADER):
                 raise CsvError(lineno, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            event_id, adverbial_id, value_text, unit, rating_text, respondent = row
+            event_id, adverbial_id, value_text, spelling, rating_text, respondent = row
             if not event_id or not adverbial_id:
                 raise CsvError(lineno, "event and adverbial must be non-empty")
             try:
@@ -168,7 +168,9 @@ def load_csv(path: str | os.PathLike) -> Dataset:
                 raise CsvError(lineno, f"bad rating {rating_text!r}") from None
             if not 0.0 <= rating <= 1.0:
                 raise CsvError(lineno, f"rating {rating_text!r} outside [0, 1]")
-            unit = canonical_unit(unit)
+            if spelling not in units:
+                units[spelling] = canonical_unit(spelling)
+            unit = units[spelling]
             if unit not in UNIT_MINUTES or not 0.0 <= value < math.inf:
                 try:
                     Duration(value, unit)  # raises with the message for this value and unit

@@ -139,54 +139,46 @@ def compare(factorized: FactorizedModel, baseline: PairGaussianModel, data: Data
     }
 
 
-def _name_width(names, minimum: int) -> int:
-    return max([minimum, *(len(str(n)) for n in names)])
+def _mae_table(columns: list[tuple[str, int, dict]], footer=()) -> list[str]:
+    """Text rows of MAE per event, per adverbial and overall, one column per accuracy document.
+
+    columns are (heading, width, document in AccuracyReport.to_dict() layout);
+    the first column's document names the rows.  footer rows (label, one
+    integer per column) follow after a blank line.
+    """
+    first = columns[0][2]
+    width = max([10, *(len(str(name)) for name in [*first["per_event"], *first["per_adverbial"]])])
+
+    def row(kind: str, name: str, cells) -> str:
+        return f"{kind:<10} {name:<{width}}" + "".join(cells)
+
+    lines = [row("Type", "Name", (f" {heading:>{w}}" for heading, w, _ in columns))]
+    for kind, key in (("Event", "per_event"), ("Adverbial", "per_adverbial")):
+        for name in sorted(first[key]):
+            lines.append(row(kind, name, (f" {doc[key][name]:>{w}.4f}" for _, w, doc in columns)))
+    lines.append(row("Overall", "", (f" {doc['overall']:>{w}.4f}" for _, w, doc in columns)))
+    if footer:
+        lines.append("")
+    for label, counts in footer:
+        lines.append(row(label, "", (f" {c:>{w}d}" for c, (_, w, _) in zip(counts, columns))))
+    return lines
 
 
 def format_accuracy_report(report: AccuracyReport, title: str = "Model") -> str:
     """Plain-text MAE table with one row per event, adverbial, and overall."""
-    names = [*report.per_event, *report.per_adverbial]
-    width = _name_width(names, 10)
-    lines = [f"{title} mean absolute error", f"{'Type':<10} {'Name':<{width}} {'MAE':>8}"]
-    for eid in sorted(report.per_event):
-        lines.append(f"{'Event':<10} {eid:<{width}} {report.per_event[eid]:>8.4f}")
-    for aid in sorted(report.per_adverbial):
-        lines.append(f"{'Adverbial':<10} {aid:<{width}} {report.per_adverbial[aid]:>8.4f}")
-    lines.append(f"{'Overall':<10} {'':<{width}} {report.overall:>8.4f}")
-    return "\n".join(lines)
+    lines = _mae_table([("MAE", 8, report.to_dict())])
+    return "\n".join([f"{title} mean absolute error", *lines])
 
 
 def format_accuracy_comparison(doc: dict) -> str:
     """Plain-text side-by-side MAE table for a compare() document."""
-    acc_f = doc["factorized"]["accuracy"]
-    acc_b = doc["baseline"]["accuracy"]
-    names = [*acc_f["per_event"], *acc_f["per_adverbial"]]
-    width = _name_width(names, 10)
-    header = f"{'Type':<10} {'Name':<{width}} {'Factorized':>12} {'Non-factorized':>15}"
-    lines = [header]
-    for eid in sorted(acc_f["per_event"]):
-        lines.append(
-            f"{'Event':<10} {eid:<{width}} {acc_f['per_event'][eid]:>12.4f} "
-            f"{acc_b['per_event'][eid]:>15.4f}"
-        )
-    for aid in sorted(acc_f["per_adverbial"]):
-        lines.append(
-            f"{'Adverbial':<10} {aid:<{width}} {acc_f['per_adverbial'][aid]:>12.4f} "
-            f"{acc_b['per_adverbial'][aid]:>15.4f}"
-        )
-    lines.append(
-        f"{'Overall':<10} {'':<{width}} {acc_f['overall']:>12.4f} {acc_b['overall']:>15.4f}"
-    )
-    lines.append("")
-    lines.append(
-        f"{'Functions':<{10 + 1 + width}} "
-        f"{doc['factorized']['function_count']:>12d} {doc['baseline']['function_count']:>15d}"
-    )
-    lines.append(
-        f"{'Parameters':<{10 + 1 + width}} "
-        f"{doc['factorized']['parameter_count']:>12d} {doc['baseline']['parameter_count']:>15d}"
-    )
-    return "\n".join(lines)
+    fac, base = doc["factorized"], doc["baseline"]
+    columns = [("Factorized", 12, fac["accuracy"]), ("Non-factorized", 15, base["accuracy"])]
+    footer = [
+        ("Functions", [fac["function_count"], base["function_count"]]),
+        ("Parameters", [fac["parameter_count"], base["parameter_count"]]),
+    ]
+    return "\n".join(_mae_table(columns, footer))
 
 
 def format_extendability_table(rows: list[ExtendabilityRow]) -> str:

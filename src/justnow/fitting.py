@@ -24,6 +24,7 @@ import numpy as np
 from .data import Dataset
 from .model import (
     AdverbialParams,
+    DomainError,
     EventParams,
     FactorizedModel,
     PairGaussianModel,
@@ -518,7 +519,9 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     the width non-identifiable: mu is fixed at the rating-weighted mean time
     (plain mean when all ratings are zero), sigma falls back to the observed
     time span with a one-minute floor, and the pair is reported in warnings.
-    iterations is the sum of accepted steps across pairs.
+    A pair whose best start runs out of the valid parameter range is pinned
+    the same way, and the fit is reported as not converged.  iterations is
+    the sum of accepted steps across pairs.
     """
     event, adverbial, t, n, y, ss, lo, hi = _cells_from_dataset(data, config.per_cell_means)
     rng = np.random.default_rng(config.seed)
@@ -526,36 +529,45 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     costs: list[float] = []
     warnings: list[str] = []
     keys, groups, starts = [], [], []
+
+    def pin(key: tuple[str, str], group, reason: str) -> None:
+        ts, ys, ns, _ = group
+        mu, _ = _rating_moments(ts, ys, ns)
+        sigma = max(float(ts.max() - ts.min()), 1.0)
+        warnings.append(f"pair {key!r}: {reason}; fixed sigma at {sigma:g} minutes")
+        residual_fn, _ = _kernel_fns([group], [1])
+        r = residual_fn(np.array([[mu, math.log(sigma)]]), np.arange(1))
+        pairs.append(PairParams(*key, mu, sigma))
+        costs.append(float(_sum_squares(r)[0]))
+
     for cells in _runs(event, adverbial):
-        event_id = data.event_ids[event[cells.start]]
-        adverbial_id = data.adverbial_ids[adverbial[cells.start]]
+        key = (data.event_ids[event[cells.start]], data.adverbial_ids[adverbial[cells.start]])
         ts, ys, ns = t[cells], y[cells], n[cells]
         group = (ts, ys, ns, math.fsum(ss[cells].tolist()))
         if len(ts) < 2 or hi[cells].max() - lo[cells].min() == 0.0:
-            mu, _ = _rating_moments(ts, ys, ns)
-            sigma = max(float(ts.max() - ts.min()), 1.0)
-            warnings.append(
-                f"pair ({event_id!r}, {adverbial_id!r}): width not identifiable "
-                f"from degenerate data; fixed sigma at {sigma:g} minutes"
-            )
-            residual_fn, _ = _kernel_fns([group], [1])
-            r = residual_fn(np.array([[mu, math.log(sigma)]]), np.arange(1))
-            pairs.append(PairParams(event_id, adverbial_id, mu, sigma))
-            costs.append(float(_sum_squares(r)[0]))
+            pin(key, group, "width not identifiable from degenerate data")
         else:
-            keys.append((event_id, adverbial_id))
+            keys.append(key)
             groups.append(group)
             starts.append(_pair_starts(ts, ys, ns, rng, config.multistart_count))
 
     fits = _fit_kernels(groups, starts, config)
-    for (event_id, adverbial_id), (theta, cost, _, _) in zip(keys, fits):
-        pairs.append(PairParams(event_id, adverbial_id, float(theta[0]), math.exp(theta[1])))
-        costs.append(cost)
+    converged = all(fit[3] for fit in fits)
+    for key, group, (theta, cost, _, _) in zip(keys, groups, fits):
+        try:
+            pair = PairParams(*key, float(theta[0]), math.exp(theta[1]))
+        except (DomainError, OverflowError):
+            reason = f"best start ran out of range (mu {theta[0]:.6g}, log sigma {theta[1]:.6g})"
+            pin(key, group, reason)
+            converged = False
+        else:
+            pairs.append(pair)
+            costs.append(cost)
     return FitReport(
         model=PairGaussianModel.from_params(pairs),
         final_cost=math.fsum(costs),
         iterations=sum(fit[2] for fit in fits),
-        converged=all(fit[3] for fit in fits),
+        converged=converged,
         residual_count=int(n.sum()),
         parameter_count=2 * len(pairs),
         warnings=tuple(warnings),

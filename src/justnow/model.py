@@ -476,41 +476,55 @@ def reference_model() -> FactorizedModel:
     )
 
 
-def save_model(model: FactorizedModel, path: str | os.PathLike) -> None:
+def _write_document(path: str | os.PathLike, doc: dict) -> None:
+    """Write a JSON document indented by two spaces, with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def save_model(model: FactorizedModel | PairGaussianModel, path: str | os.PathLike) -> None:
+    """Write either family's model document."""
+    _write_document(path, model.to_dict())
+
+
+save_baseline = save_model
+
+# Each family's class and the top-level keys that mark its documents.
+_FAMILIES = {
+    "factorized": (FactorizedModel, ("events", "adverbials")),
+    "baseline": (PairGaussianModel, ("pairs",)),
+}
+
+
+def _read_model(path: str | os.PathLike, family: str) -> FactorizedModel | PairGaussianModel:
+    """The model in a JSON file, of the named family or, for "recognized", of either.
+
+    A document belongs to the family whose keys it has; other top-level keys
+    are ignored, and a document with both families' keys is rejected.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    found = [
+        name for name, (_, keys) in _FAMILIES.items()
+        if isinstance(doc, dict) and all(key in doc for key in keys)
+    ]
+    if len(found) > 1:
+        raise ValueError(f"{path}: has both factorized and baseline model keys")
+    if not found or family not in (found[0], "recognized"):
+        raise ValueError(f"{path}: not a {family} model file")
+    return _FAMILIES[found[0]][0].from_dict(doc)
 
 
 def load_model(path: str | os.PathLike) -> FactorizedModel:
     """Load a factorized model from JSON; unknown top-level keys are ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "events" not in doc or "adverbials" not in doc:
-        raise ValueError(f"{path}: not a factorized model file")
-    return FactorizedModel.from_dict(doc)
-
-
-def save_baseline(model: PairGaussianModel, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    return _read_model(path, "factorized")
 
 
 def load_baseline(path: str | os.PathLike) -> PairGaussianModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "pairs" not in doc:
-        raise ValueError(f"{path}: not a baseline model file")
-    return PairGaussianModel.from_dict(doc)
+    return _read_model(path, "baseline")
 
 
 def load_any_model(path: str | os.PathLike) -> FactorizedModel | PairGaussianModel:
     """Load either model family, dispatching on the document's top-level keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "pairs" in doc:
-        return PairGaussianModel.from_dict(doc)
-    if isinstance(doc, dict) and "events" in doc and "adverbials" in doc:
-        return FactorizedModel.from_dict(doc)
-    raise ValueError(f"{path}: not a recognized model file")
+    return _read_model(path, "recognized")

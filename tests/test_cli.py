@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from justnow import cli
 from justnow.cli import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
@@ -15,7 +16,7 @@ from justnow.cli import (
     run,
 )
 from justnow.data import generate_synthetic, load_csv, save_csv
-from justnow.fitting import FitConfig, fit_factorized, residuals_factorized
+from justnow.fitting import FitConfig, FitReport, fit_factorized, residuals_factorized
 from justnow.model import (
     AdverbialParams,
     Duration,
@@ -180,6 +181,40 @@ class TestFitBaseline:
         assert len(doc["pairs"]) == 4
         model = load_baseline(work["base_json"])
         assert model.function_count == 4
+
+    def test_runaway_pair_exits_no_convergence(self, repo_root, tmp_path, capsys):
+        csv_path, out = tmp_path / "survey.csv", tmp_path / "base.json"
+        assert run([
+            "synthesize", "--truth", str(repo_root / "reference_model.json"), "--times", "7",
+            "--votes", "18", "--noise", "0.1", "--seed", "0", "--out", str(csv_path),
+        ]) == EXIT_OK
+        assert run([
+            "fit-baseline", "--data", str(csv_path), "--out", str(out), "--multistarts", "2",
+        ]) == EXIT_NO_CONVERGENCE
+        assert json.loads(out.read_text())["converged"] is False
+        assert "ran out of range" in capsys.readouterr().err
+
+
+class TestFitFlags:
+    @pytest.mark.parametrize(
+        "command, fit", [("fit", "fit_factorized"), ("fit-baseline", "fit_baseline")]
+    )
+    def test_flags_override_fit_config_defaults(self, work, tmp_path, monkeypatch, command, fit):
+        # The handler looks the fit function up per call, so the stand-in is used.
+        configs = []
+
+        def record(data, config):
+            configs.append(config)
+            return FitReport(work["truth"], 0.0, 0, True, len(data), 6)
+
+        monkeypatch.setattr(cli, fit, record)
+        argv = [command, "--data", str(work["clean_csv"]), "--out", str(tmp_path / "o.json")]
+        assert run(argv) == EXIT_OK
+        assert run(argv + [
+            "--max-iterations", "7", "--cost-tolerance", "1e-6", "--param-tolerance", "1e-5",
+            "--multistarts", "3", "--seed", "5", "--per-cell-means",
+        ]) == EXIT_OK
+        assert configs == [FitConfig(), FitConfig(7, 1e-6, 1e-5, 3, 5, True)]
 
 
 class TestSpecExampleEndToEnd:
@@ -436,6 +471,21 @@ class TestExitCodes:
         doc = json.loads(out.read_text())
         assert doc["final_cost"] == expected.final_cost
         assert doc["residual_count"] == expected.residual_count
+
+    def test_document_with_both_families_is_validation_error(self, work, tmp_path, capsys):
+        doc = json.loads(work["fit_json"].read_text())
+        doc.update(json.loads(work["base_json"].read_text()))
+        both = tmp_path / "mixed.json"
+        both.write_text(json.dumps(doc))
+        fit, base, data = str(work["fit_json"]), str(work["base_json"]), str(work["clean_csv"])
+        for argv in (
+            ["predict", "--model", str(both), "--event", "meal", "--elapsed", "1 day"],
+            ["evaluate", "--model", str(both), "--data", data],
+            ["compare", "--factorized", str(both), "--baseline", base, "--data", data],
+            ["compare", "--factorized", fit, "--baseline", str(both), "--data", data],
+        ):
+            assert run(argv) == EXIT_VALIDATION
+            assert "has both factorized and baseline" in capsys.readouterr().err
 
     def test_io_errors(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

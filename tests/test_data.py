@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from justnow import data as data_module
 from justnow.data import (
     CSV_HEADER,
     CsvError,
@@ -22,6 +23,7 @@ from justnow.model import (
     Duration,
     EventParams,
     FactorizedModel,
+    canonical_unit,
     composite_probability,
     reference_model,
 )
@@ -108,6 +110,20 @@ class TestCsv:
         assert data.records[2].respondent_id is None
         # row order preserved
         assert [r.elapsed.value for r in data.records] == [1.0, 2.0, 10.0]
+
+    def test_each_unit_spelling_canonicalized_once(self, tmp_path, monkeypatch):
+        spellings = []
+
+        def counted(text):
+            spellings.append(text)
+            return canonical_unit(text)
+
+        monkeypatch.setattr(data_module, "canonical_unit", counted)
+        rows = [f"e,a,{i},{unit},0.5," for i in range(1, 31) for unit in ("day", " Days", "day")]
+        data = load_csv(self._write(tmp_path, [",".join(CSV_HEADER), *rows]))
+        assert sorted(spellings) == [" Days", "day"]
+        assert len(data) == 90
+        assert data.unit_ids.tolist() == ["day"]
 
     def test_header_only_is_empty_dataset(self, tmp_path):
         path = self._write(tmp_path, [",".join(CSV_HEADER)])

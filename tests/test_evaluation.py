@@ -237,6 +237,38 @@ class TestFormatting:
         assert "Functions" in text and "Parameters" in text
         assert "Factorized" in text and "Non-factorized" in text
 
+    def test_accuracy_report_text(self, tiny_truth):
+        data = generate_synthetic(tiny_truth, 3, 4, 0.1, seed=0)
+        assert format_accuracy_report(accuracy(tiny_truth, data), title="Truth") == (
+            "Truth mean absolute error\n"
+            "Type       Name            MAE\n"
+            "Event      meal         0.0603\n"
+            "Event      move         0.0643\n"
+            "Adverbial  ages         0.0510\n"
+            "Adverbial  just         0.0736\n"
+            "Overall                 0.0623"
+        )
+
+    def test_comparison_text(self, tiny_truth):
+        data = generate_synthetic(tiny_truth, 3, 4, 0.1, seed=0)
+        baseline = PairGaussianModel.from_params([
+            PairParams("meal", "just", 10.0, 30.0),
+            PairParams("meal", "ages", 3000.0, 2000.0),
+            PairParams("move", "just", 5000.0, 20000.0),
+            PairParams("move", "ages", 2e6, 1e6),
+        ])
+        assert format_accuracy_comparison(compare(tiny_truth, baseline, data)) == (
+            "Type       Name         Factorized  Non-factorized\n"
+            "Event      meal             0.0603          0.3193\n"
+            "Event      move             0.0643          0.3266\n"
+            "Adverbial  ages             0.0510          0.5571\n"
+            "Adverbial  just             0.0736          0.0889\n"
+            "Overall                     0.0623          0.3230\n"
+            "\n"
+            "Functions                        4               4\n"
+            "Parameters                       6               8"
+        )
+
     def test_extendability_render(self):
         text = format_extendability_table(extendability_table([2, 16], [4, 16]))
         assert "2" in text and "16" in text and "256" in text

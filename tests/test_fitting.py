@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from justnow import fitting
 from justnow.data import Dataset, JudgmentRecord, generate_synthetic
 from justnow.fitting import (
     FitConfig,
@@ -451,6 +452,30 @@ class TestFitBaseline:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             fit_baseline(Dataset(()))
+
+    def test_runaway_pair_is_pinned_and_not_converged(self):
+        # One pair's best start here ends at mu ~ -1.3e9 minutes, log sigma ~ -6,669.
+        data = generate_synthetic(reference_model(), 7, 18, 0.1, seed=0)
+        report = fit_baseline(data, FitConfig(multistart_count=2))
+        assert not report.converged
+        assert len(report.warnings) == 1
+        assert "('Marriage', 'Recently')" in report.warnings[0]
+        assert report.model.function_count == 24
+        pair = report.model.pair("Marriage", "Recently")
+        times = data.minutes[data.event_ids[data.event] == "Marriage"]
+        assert pair.sigma_minutes == times.max() - times.min()
+        assert times.min() <= pair.mu_minutes <= times.max()
+        assert math.isfinite(report.final_cost)
+
+    def test_out_of_range_winner_is_never_converged(self, tiny_truth, monkeypatch):
+        # A winner whose width underflows, even one the optimizer calls converged.
+        def underflowing(groups, starts, config):
+            return [(np.array([0.0, -1e4]), 1.0, 3, True)] * len(groups)
+
+        monkeypatch.setattr(fitting, "_fit_kernels", underflowing)
+        report = fit_baseline(generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4))
+        assert not report.converged
+        assert len(report.warnings) == report.model.function_count == 4
 
     def test_deterministic(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)

@@ -528,6 +528,23 @@ class TestSerialization:
         save_baseline(model, path)
         assert load_baseline(path) == model
 
+    def test_save_model_writes_baselines(self, tmp_path):
+        model = PairGaussianModel.from_params([PairParams("e", "a", 123.456, 7.89)])
+        path = tmp_path / "baseline.json"
+        save_model(model, path)
+        assert load_baseline(path) == model
+        assert load_any_model(path) == model
+        assert path.read_text() == json.dumps(model.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("loader", [load_model, load_baseline, load_any_model])
+    def test_document_with_both_families_rejected(self, tmp_path, loader):
+        doc = reference_model().to_dict()
+        doc.update(PairGaussianModel.from_params([PairParams("e", "a", 1.0, 2.0)]).to_dict())
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="has both factorized and baseline"):
+            loader(path)
+
     def test_load_any_model_dispatch(self, tmp_path):
         fac = reference_model()
         base = PairGaussianModel.from_params([PairParams("e", "a", 1.0, 2.0)])
