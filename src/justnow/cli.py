@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -149,20 +150,28 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     model = load_model(args.model)
+    # Every name is checked before any file is written: ids may contain "__".
+    files: dict[str, tuple[str, str]] = {}
+    for pair in itertools.product(sorted(model.events), sorted(model.adverbials)):
+        name = "{}__{}.tsv".format(*pair)
+        if name in files:
+            raise ValueError(f"pairs {files[name]} and {pair} would both write {name}")
+        files[name] = pair
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for event_id in sorted(model.events):
-        sigma_e = model.events[event_id].sigma_e
-        grid = np.geomspace(sigma_e / 100.0, 100.0 * sigma_e, args.points)
-        for adverbial_id in sorted(model.adverbials):
-            probabilities = model.predict([event_id], [adverbial_id], grid)
-            # repr round-trips doubles exactly, so parsed curves match the model.
-            lines = ["t_minutes\tprobability"] + [
-                f"{t!r}\t{p!r}" for t, p in zip(grid.tolist(), probabilities.tolist())
-            ]
-            path = out_dir / f"{event_id}__{adverbial_id}.tsv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(model.events) * len(model.adverbials)} curve files to {out_dir}")
+    grids = {
+        event_id: np.geomspace(event.sigma_e / 100.0, 100.0 * event.sigma_e, args.points)
+        for event_id, event in model.events.items()
+    }
+    for name, (event_id, adverbial_id) in files.items():
+        grid = grids[event_id]
+        probabilities = model.predict([event_id], [adverbial_id], grid)
+        # repr round-trips doubles exactly, so parsed curves match the model.
+        lines = ["t_minutes\tprobability"] + [
+            f"{t!r}\t{p!r}" for t, p in zip(grid.tolist(), probabilities.tolist())
+        ]
+        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(files)} curve files to {out_dir}")
     return EXIT_OK
 
 

@@ -70,6 +70,8 @@ class FitConfig:
             raise ValueError("tolerances must be finite and >= 0")
         if self.multistart_count < 1:
             raise ValueError(f"multistart_count must be >= 1, got {self.multistart_count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,14 @@ def _jacobian(t, ev_idx, ad_idx, weight, sigma_e, mu_a, sigma_a, n_rows) -> np.n
 # Cell statistics and canonical ordering.
 
 
-def _runs(*columns: np.ndarray) -> list[slice]:
-    """Slices of the runs of rows that are equal in every one of the sorted columns."""
-    changes = np.any([np.append(True, c[1:] != c[:-1]) for c in columns], axis=0)
-    bounds = np.flatnonzero(changes).tolist() + [changes.size]
-    return [slice(begin, end) for begin, end in zip(bounds, bounds[1:])]
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Start index of each run of rows that are equal in every one of the sorted columns."""
+    return np.flatnonzero(np.any([np.append(True, c[1:] != c[:-1]) for c in columns], axis=0))
+
+
+def _runs(*columns: np.ndarray) -> list[np.ndarray]:
+    """Row indices of each run of rows that are equal in every one of the sorted columns."""
+    return np.split(np.arange(len(columns[0])), _run_starts(*columns)[1:])
 
 
 def _cells_from_dataset(data: Dataset, per_cell_means: bool):
@@ -137,22 +142,19 @@ def _cells_from_dataset(data: Dataset, per_cell_means: bool):
     """
     if not len(data):
         raise ValueError("dataset is empty")
-    # Rating is the last sort key, so each cell's votes arrive sorted: min and
-    # max are its ends, and no statistic depends on record order.
+    # Rating is the last sort key: the sorted votes, and every sum over them here and
+    # in the fits, are the same for any record order, and a cell's ends are its min and max.
     order = np.lexsort((data.rating, data.minutes, data.adverbial, data.event))
     event, adverbial, t = data.event[order], data.adverbial[order], data.minutes[order]
-    runs = _runs(event, adverbial, t)
-    ratings = data.rating[order].tolist()
-    stats = []
-    for run in runs:
-        cell = ratings[run]
-        # fsum is exactly rounded, so the sums match any summation order.
-        mean = math.fsum(cell) / len(cell)
-        if per_cell_means:
-            cell = [mean]
-        stats.append((len(cell), mean, math.fsum((y - mean) ** 2 for y in cell), cell[0], cell[-1]))
-    first = [run.start for run in runs]
-    return (event[first], adverbial[first], t[first], *map(np.array, zip(*stats)))
+    rating = data.rating[order]
+    starts = _run_starts(event, adverbial, t)
+    cells = (event[starts], adverbial[starts], t[starts])
+    n = np.diff(starts, append=rating.size)
+    mean = np.add.reduceat(rating, starts) / n
+    if per_cell_means:
+        rating, starts, n = mean, np.arange(mean.size), np.ones_like(n)
+    ss = np.add.reduceat((rating - np.repeat(mean, n)) ** 2, starts)
+    return (*cells, n, mean, ss, rating[starts], rating[starts + n - 1])
 
 
 def residuals_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
@@ -353,16 +355,16 @@ class _FactorizedProblem:
         self.ev_idx, self.ad_idx, self.t, self.n, self.y, self.ss, _, _ = cells
         self.event_ids, self.adverbial_ids = data.event_ids, data.adverbial_ids
         self.weight = np.sqrt(self.n)
-        self.r_template = np.append(np.zeros_like(self.t), math.sqrt(math.fsum(self.ss.tolist())))
+        self.r_template = np.append(np.zeros_like(self.t), math.sqrt(self.ss.sum()))
         self.n_residuals = int(self.n.sum())
         self.n_events = len(self.event_ids)
         self.n_adverbials = len(self.adverbial_ids)
         self.n_params = self.n_events + 2 * self.n_adverbials
         for pair in _runs(self.ev_idx, self.ad_idx):
-            if pair.stop - pair.start < 2:
+            if len(pair) < 2:
                 raise ValueError(
-                    f"pair ({self.event_ids[self.ev_idx[pair.start]]!r}, "
-                    f"{self.adverbial_ids[self.ad_idx[pair.start]]!r}) has fewer than 2 distinct "
+                    f"pair ({self.event_ids[self.ev_idx[pair[0]]]!r}, "
+                    f"{self.adverbial_ids[self.ad_idx[pair[0]]]!r}) has fewer than 2 distinct "
                     "elapsed times; the fit is not identifiable"
                 )
 
@@ -433,7 +435,7 @@ def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfi
         if var is not None:
             sigma = math.sqrt(var) if var > 0.0 else 0.1
             candidates.append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
-        groups.append((xs, ys, ns, math.fsum(problem.ss[mask])))
+        groups.append((xs, ys, ns, problem.ss[mask].sum()))
         starts.append(candidates)
     return np.array([theta for theta, *_ in _fit_kernels(groups, starts, config)])
 
@@ -541,9 +543,9 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
         costs.append(float(_sum_squares(r)[0]))
 
     for cells in _runs(event, adverbial):
-        key = (data.event_ids[event[cells.start]], data.adverbial_ids[adverbial[cells.start]])
+        key = (data.event_ids[event[cells[0]]], data.adverbial_ids[adverbial[cells[0]]])
         ts, ys, ns = t[cells], y[cells], n[cells]
-        group = (ts, ys, ns, math.fsum(ss[cells].tolist()))
+        group = (ts, ys, ns, ss[cells].sum())
         if len(ts) < 2 or hi[cells].max() - lo[cells].min() == 0.0:
             pin(key, group, "width not identifiable from degenerate data")
         else:
@@ -565,7 +567,7 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
             costs.append(cost)
     return FitReport(
         model=PairGaussianModel.from_params(pairs),
-        final_cost=math.fsum(costs),
+        final_cost=sum(costs),
         iterations=sum(fit[2] for fit in fits),
         converged=converged,
         residual_count=int(n.sum()),

@@ -421,6 +421,20 @@ class TestPlotData:
         assert code == EXIT_VALIDATION
         assert not out_dir.exists()
 
+    def test_colliding_file_names_rejected(self, tmp_path, capsys):
+        # ("a", "b__c") and ("a__b", "c") would both write a__b__c.tsv.
+        model = FactorizedModel.from_params(
+            [EventParams("a", 300.0), EventParams("a__b", 200000.0)],
+            [AdverbialParams("c", 0.48, 0.05), AdverbialParams("b__c", 0.95, 0.2)],
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        out_dir = tmp_path / "curves"
+        code = run(["plot-data", "--model", str(model_path), "--out-dir", str(out_dir)])
+        assert code == EXIT_VALIDATION
+        assert "a__b__c.tsv" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_two_points_are_the_grid_ends(self, work, tmp_path):
         out_dir = tmp_path / "curves"
         code = run([
@@ -512,6 +526,14 @@ class TestExitCodes:
         argv = ["fit", "--data", str(work["noisy_csv"]), "--out", str(out), flag, value]
         assert run(argv) == EXIT_VALIDATION
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["fit", "fit-baseline"])
+    def test_negative_seed_is_validation_error(self, work, tmp_path, capsys, subcommand):
+        out = tmp_path / "o.json"
+        argv = [subcommand, "--data", str(work["noisy_csv"]), "--out", str(out), "--seed", "-1"]
+        assert run(argv) == EXIT_VALIDATION
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unidentifiable_data_is_validation_error(self, tmp_path):

@@ -284,6 +284,8 @@ class TestFitConfig:
             FitConfig(param_tolerance=-1.0)
         with pytest.raises(ValueError):
             FitConfig(multistart_count=0)
+        with pytest.raises(ValueError, match="seed"):
+            FitConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["cost_tolerance", "param_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -569,6 +571,55 @@ class TestCellStatisticsExactness:
         assert iterations[0] == per_vote_fit[2][0]
         assert theta[0] == pytest.approx(per_vote_fit[0][0], abs=1e-6)
         assert cost[0] == pytest.approx(per_vote_fit[1][0], rel=1e-9, abs=1e-20)
+
+    @given(
+        votes=st.lists(
+            st.tuples(
+                st.sampled_from(["e0", "e1"]),
+                st.sampled_from(["a0", "a1", "a2"]),
+                # Shared times make cells of many votes; drawn ones make many
+                # single-vote cells, one per distinct time.
+                st.one_of(st.sampled_from([1.0, 60.0, 1440.0]), st.floats(0.0, 1e7)),
+                # Shared ratings tie inside a cell.
+                st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        per_cell_means=st.booleans(),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_cells_match_fsum_reference(self, votes, per_cell_means, shuffle):
+        records = [_record(e, a, t, y) for e, a, t, y in votes]
+        data = Dataset(records)
+        cells = fitting._cells_from_dataset(data, per_cell_means)
+        event, adverbial, t, n, mean, ss, lo, hi = cells
+        ratings: dict[tuple, list[float]] = {}
+        for e, a, t_minutes, y in votes:
+            ratings.setdefault((e, a, t_minutes), []).append(y)
+        keys = sorted(ratings)
+        assert list(zip(data.event_ids[event], data.adverbial_ids[adverbial], t.tolist())) == keys
+        cell_ratings = [ratings[key] for key in keys]
+        ref_mean = [math.fsum(ys) / len(ys) for ys in cell_ratings]
+        ref_ss = [math.fsum((y - m) ** 2 for y in ys) for ys, m in zip(cell_ratings, ref_mean)]
+        assert mean.tolist() == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
+        if per_cell_means:
+            assert n.tolist() == [1] * len(keys)
+            assert ss.tolist() == [0.0] * len(keys)
+            assert lo.tolist() == hi.tolist() == mean.tolist()
+        else:
+            assert n.tolist() == [len(ys) for ys in cell_ratings]
+            # Tied ratings give ss = 0 exactly; a mean off by n * eps leaves
+            # about n * (n * eps)^2, under 1e-23 at n = 300, in their ss.
+            assert ss.tolist() == pytest.approx(ref_ss, rel=1e-12, abs=1e-20)
+            assert lo.tolist() == [min(ys) for ys in cell_ratings]
+            assert hi.tolist() == [max(ys) for ys in cell_ratings]
+        shuffle.shuffle(records)
+        again = fitting._cells_from_dataset(Dataset(records), per_cell_means)
+        for column, shuffled in zip(cells, again):
+            assert column.dtype == shuffled.dtype
+            assert column.tobytes() == shuffled.tobytes()
 
 
 def test_default_fit_leaks_no_numpy_warning():
