@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -150,10 +151,13 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     model = load_model(args.model)
-    # Every name is checked before any file is written: ids may contain "__".
+    # Every name is checked before any file is written: ids may contain "__", a path
+    # separator or NUL.  A ".tsv" name without the last two is one file inside --out-dir.
     files: dict[str, tuple[str, str]] = {}
     for pair in itertools.product(sorted(model.events), sorted(model.adverbials)):
         name = "{}__{}.tsv".format(*pair)
+        if any(char and char in name for char in ("/", os.sep, os.altsep, "\0")):
+            raise ValueError(f"pair {pair} would write {name!r}, not a file name in --out-dir")
         if name in files:
             raise ValueError(f"pairs {files[name]} and {pair} would both write {name}")
         files[name] = pair

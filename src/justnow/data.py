@@ -5,16 +5,19 @@ CSV schema (UTF-8, header required, one judgment per row):
     event,adverbial,elapsed_value,elapsed_unit,rating,respondent
 
 ``rating`` is a normalized acceptability in [0, 1]; ``respondent`` may be
-empty.  Floats are written at 9 significant digits, which round-trips the
-datasets produced here.
+empty.  Numbers are ASCII float text without "_".  Floats are written at 9
+significant digits, which round-trips the datasets produced here.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,6 +42,9 @@ __all__ = [
 ]
 
 CSV_HEADER = ["event", "adverbial", "elapsed_value", "elapsed_unit", "rating", "respondent"]
+
+# One CSV row as numpy's tokenizer reads it: the two numbers as doubles, the labels as str.
+_ROW = np.dtype([(n, float if n in ("elapsed_value", "rating") else object) for n in CSV_HEADER])
 
 
 class CsvError(ValueError):
@@ -70,7 +76,7 @@ def _encode(labels) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct labels, as an object array, and each label's index into them."""
     table = sorted(set(labels))
     index = {label: code for code, label in enumerate(table)}
-    codes = np.array([index[label] for label in labels], dtype=np.intp)
+    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
     return np.array(table, dtype=object), codes
 
 
@@ -144,57 +150,96 @@ def normalize_likert(raw: int, scale_min: int = 1, scale_max: int = 5) -> float:
 def load_csv(path: str | os.PathLike) -> Dataset:
     """Read a judgment CSV; raises CsvError with a line number on the first bad row."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        if not fh.seekable():  # a pipe: keep its text, so that a bad row can be found again
+            fh = io.StringIO(fh.read(), newline="")
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != CSV_HEADER:
             raise CsvError(1, f"expected header {','.join(CSV_HEADER)!r}")
-        rows = []
-        units: dict[str, str] = {}  # each spelling in the file, canonicalized once
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise CsvError(lineno, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            event_id, adverbial_id, value_text, spelling, rating_text, respondent = row
-            if not event_id or not adverbial_id:
-                raise CsvError(lineno, "event and adverbial must be non-empty")
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise CsvError(lineno, f"bad elapsed_value {value_text!r}") from None
-            try:
-                rating = float(rating_text)
-            except ValueError:
-                raise CsvError(lineno, f"bad rating {rating_text!r}") from None
-            if not 0.0 <= rating <= 1.0:
-                raise CsvError(lineno, f"rating {rating_text!r} outside [0, 1]")
-            if spelling not in units:
-                units[spelling] = canonical_unit(spelling)
-            unit = units[spelling]
-            if unit not in UNIT_MINUTES or not 0.0 <= value < math.inf:
-                try:
-                    Duration(value, unit)  # raises with the message for this value and unit
-                except (UnknownUnitError, DomainError) as exc:
-                    raise CsvError(lineno, str(exc)) from None
-            rows.append((event_id, adverbial_id, value, unit, rating, respondent or None))
-    return Dataset._from_columns(*_transpose(rows), source=str(path))
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, _ROW, delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except ValueError:
+            _raise_first_bad_row(fh)
+        events, adverbials, spellings, respondents = (
+            table[name].tolist() for name in ("event", "adverbial", "elapsed_unit", "respondent")
+        )
+        value, rating = table["elapsed_value"].copy(), table["rating"].copy()
+        del table
+        spelling_ids, spelling = _encode(spellings)
+        unit_ids = np.array([canonical_unit(text) for text in spelling_ids], dtype=object)
+        if (
+            "" in events
+            or "" in adverbials
+            or not np.all((rating >= 0.0) & (rating <= 1.0) & (value >= 0.0) & (value < math.inf))
+            or not all(unit in UNIT_MINUTES for unit in unit_ids)
+        ):
+            _raise_first_bad_row(fh)
+    return Dataset._from_columns(
+        events, adverbials, value, unit_ids[spelling], rating, [who or None for who in respondents],
+        source=str(path),
+    )
+
+
+def _number(text: str) -> float:
+    """float(text) for the grammar numpy's parser reads: ASCII inside whitespace, no "_"."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(text)
+    return float(text.strip())
+
+
+def _raise_first_bad_row(fh) -> NoReturn:
+    """Rescan the open CSV row by row and raise the first bad row's CsvError."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise CsvError(lineno, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+        event_id, adverbial_id, value_text, spelling, rating_text, _ = row
+        if not event_id or not adverbial_id:
+            raise CsvError(lineno, "event and adverbial must be non-empty")
+        try:
+            value = _number(value_text)
+        except ValueError:
+            raise CsvError(lineno, f"bad elapsed_value {value_text!r}") from None
+        try:
+            rating = _number(rating_text)
+        except ValueError:
+            raise CsvError(lineno, f"bad rating {rating_text!r}") from None
+        if not 0.0 <= rating <= 1.0:
+            raise CsvError(lineno, f"rating {rating_text!r} outside [0, 1]")
+        try:
+            Duration(value, canonical_unit(spelling))
+        except (UnknownUnitError, DomainError) as exc:
+            raise CsvError(lineno, str(exc)) from None
+    raise RuntimeError("the CSV was rejected in bulk, but the row scan found no bad row")
+
+
+def _csv_field(label: str) -> str:
+    """label as csv.writer writes it as one field of a longer row, quoted if it holds \\r."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow((label, ""))
+    return buf.getvalue()[: -len(",\r\n")]
 
 
 def save_csv(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write a dataset in the judgment CSV schema, floats at 9 significant digits."""
+    quote = np.frompyfunc(_csv_field, 1, 1)  # once per distinct label
+    respondents = {who: _csv_field(who or "") for who in set(dataset.respondent)}
+    rows = zip(
+        quote(dataset.event_ids)[dataset.event].tolist(),
+        quote(dataset.adverbial_ids)[dataset.adverbial].tolist(),
+        dataset.value.tolist(),
+        quote(dataset.unit_ids)[dataset.unit].tolist(),
+        dataset.rating.tolist(),
+        map(respondents.__getitem__, dataset.respondent),
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(
-            zip(
-                dataset.event_ids[dataset.event].tolist(),
-                dataset.adverbial_ids[dataset.adverbial].tolist(),
-                [f"{value:.9g}" for value in dataset.value.tolist()],
-                dataset.unit_ids[dataset.unit].tolist(),
-                [f"{rating:.9g}" for rating in dataset.rating.tolist()],
-                [who or "" for who in dataset.respondent],
-            )
-        )
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(map("%s,%s,%.9g,%s,%.9g,%s\n".__mod__, rows))
 
 
 def generate_synthetic(

@@ -435,6 +435,20 @@ class TestPlotData:
         assert "a__b__c.tsv" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("event_id", ["../esc", "x/y"])
+    def test_ids_that_are_not_file_names_rejected(self, tmp_path, capsys, event_id):
+        model = FactorizedModel.from_params(
+            [EventParams("a", 300.0), EventParams(event_id, 200000.0)],
+            [AdverbialParams("c", 0.48, 0.05)],
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        out_dir = tmp_path / "curves"
+        code = run(["plot-data", "--model", str(model_path), "--out-dir", str(out_dir)])
+        assert code == EXIT_VALIDATION
+        assert f"{event_id}__c.tsv" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     def test_two_points_are_the_grid_ends(self, work, tmp_path):
         out_dir = tmp_path / "curves"
         code = run([

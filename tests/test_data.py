@@ -1,5 +1,9 @@
 import csv
+import io
 import math
+import os
+import threading
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,10 +23,13 @@ from justnow.data import (
 from justnow.evaluation import accuracy
 from justnow.fitting import FitConfig, fit_baseline, fit_factorized
 from justnow.model import (
+    UNIT_MINUTES,
     AdverbialParams,
+    DomainError,
     Duration,
     EventParams,
     FactorizedModel,
+    UnknownUnitError,
     canonical_unit,
     composite_probability,
     reference_model,
@@ -127,7 +134,9 @@ class TestCsv:
 
     def test_header_only_is_empty_dataset(self, tmp_path):
         path = self._write(tmp_path, [",".join(CSV_HEADER)])
-        data = load_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = load_csv(path)
         assert len(data) == 0
 
     def test_bad_header_reports_line_one(self, tmp_path):
@@ -188,6 +197,22 @@ class TestCsv:
         assert err.value.line == 3
         assert str(err.value).startswith("line 3: ")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_bad_row_read_from_a_pipe_names_line(self, tmp_path):
+        path = tmp_path / "votes.csv"
+        os.mkfifo(path)
+        rows = ["Vacation,Recently,1,month,0.8,", "Vacation,Recently,1,month,1.2,"]
+        text = "\n".join([",".join(CSV_HEADER), *rows, ""])
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(CsvError) as err:
+                load_csv(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(err.value) == "line 3: rating '1.2' outside [0, 1]"
+
     def test_blank_lines_skipped(self, tmp_path):
         path = self._write(
             tmp_path,
@@ -217,6 +242,196 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         save_csv(data, path)
         assert path.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(st.sampled_from('ab ,"\n\r'), min_size=1, max_size=4),
+                st.sampled_from(["Just", "a,b", ' "q"', "x\ny", "x\ry", " lead", "trail "]),
+                st.sampled_from([0.5, 60.0, 1e-300, 123456.789, 0.0]),
+                st.sampled_from(sorted(UNIT_MINUTES)),
+                st.sampled_from([0.0, 1.0, 0.25, 0.123456789012]),
+                st.sampled_from([None, "", "p1", "p,1", 'p"1', "p\r\n1", " p1"]),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_save_matches_csv_writer_and_loads_back(self, tmp_path, rows):
+        data = Dataset([_vote(*row) for row in rows])
+        path = tmp_path / "saved.csv"
+        save_csv(data, path)
+        # Each row as csv.writer writes it, ending in "\n"; "\r\n" as the writer's line
+        # terminator quotes a bare "\r", which a reader would otherwise take for a line end.
+        expected = [",".join(CSV_HEADER) + "\n"]
+        for event_id, adverbial_id, value, unit, rating, who in rows:
+            line = io.StringIO(newline="")
+            csv.writer(line, lineterminator="\r\n").writerow(
+                (event_id, adverbial_id, f"{value:.9g}", unit, f"{rating:.9g}", who or "")
+            )
+            expected.append(line.getvalue()[: -len("\r\n")] + "\n")
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+        back = load_csv(path)
+        assert back.records == tuple(
+            _vote(event_id, adverbial_id, float(f"{value:.9g}"), unit, float(f"{rating:.9g}"),
+                  who or None)
+            for event_id, adverbial_id, value, unit, rating, who in rows
+        )
+
+
+def _documented_float(text):
+    """float(text), narrowed and widened as README "File formats" documents.
+
+    "_" and non-ASCII digits are rejected; whitespace that str.strip() removes pads a
+    number, including the ASCII separators \\x1c-\\x1f that float() alone rejects.
+    """
+    if "_" in text or any(ch.isdecimal() and not ch.isascii() for ch in text):
+        raise ValueError(text)
+    return float(text.strip())
+
+
+def _row_loop(path):
+    """The loader as one streaming csv.reader pass, its floats as float.hex()."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != CSV_HEADER:
+            raise CsvError(1, f"expected header {','.join(CSV_HEADER)!r}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise CsvError(lineno, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+            event_id, adverbial_id, value_text, spelling, rating_text, respondent = row
+            if not event_id or not adverbial_id:
+                raise CsvError(lineno, "event and adverbial must be non-empty")
+            try:
+                value = _documented_float(value_text)
+            except ValueError:
+                raise CsvError(lineno, f"bad elapsed_value {value_text!r}") from None
+            try:
+                rating = _documented_float(rating_text)
+            except ValueError:
+                raise CsvError(lineno, f"bad rating {rating_text!r}") from None
+            if not 0.0 <= rating <= 1.0:
+                raise CsvError(lineno, f"rating {rating_text!r} outside [0, 1]")
+            unit = canonical_unit(spelling)
+            try:
+                Duration(value, unit)
+            except (UnknownUnitError, DomainError) as exc:
+                raise CsvError(lineno, str(exc)) from None
+            # float.hex tells every double apart, -0.0 from 0.0 too.
+            who = respondent or None
+            rows.append((event_id, adverbial_id, value.hex(), unit, rating.hex(), who))
+    return rows
+
+
+def _outcome_of_load(load, path):
+    """load(path)'s rows, or the line and message of its CsvError."""
+    try:
+        return load(path)
+    except CsvError as exc:
+        return exc.line, str(exc)
+
+
+def _loaded_rows(path):
+    data = load_csv(path)
+    return list(zip(
+        data.event_ids[data.event].tolist(), data.adverbial_ids[data.adverbial].tolist(),
+        [value.hex() for value in data.value.tolist()], data.unit_ids[data.unit].tolist(),
+        [rating.hex() for rating in data.rating.tolist()], data.respondent,
+    ))
+
+
+_LABEL = st.text(st.sampled_from('ab ,"\n\r'), min_size=1, max_size=4)
+_CSV_FIELDS = (
+    _LABEL,
+    _LABEL,
+    st.one_of(
+        st.sampled_from(
+            ["1", "+.5", "-0", "\t1", " 2.5 ", "1e-400", "7.", "1E3", "\x1c3", "\xa04", "\u20032"]
+        ),
+        st.floats(min_value=0.0, max_value=1e12).map(repr),
+    ),
+    st.sampled_from(["day", "Days", " HOUR ", "minutes", "MINUTE", "weeks", "month", " years"]),
+    st.one_of(
+        st.sampled_from(["0", "1", "+.5", "-0", "\t1", "0.25 ", "1e-400", "\x1f.5", "1.000"]),
+        st.floats(min_value=0.0, max_value=1.0).map(repr),
+    ),
+    st.one_of(st.just(""), _LABEL),
+)
+# What turns a row bad, as (column, text): empty ids, numbers out of range, numbers
+# float() reads but the file may not hold, and unknown units.
+_BAD_FIELDS = [(0, ""), (1, "")] + [
+    (column, text)
+    for column, texts in (
+        (2, ["1e400", "nan", "-1", "-0.5", "inf", "1_0", "\u0663", "\uff11", "", "x"]),
+        (3, ["fortnight", "", "dayss", "d ay", "1"]),
+        (4, ["nan", "1.5", "-0.1", "1e400", "1_0", "\u0663", "0.\u0665", "", "x"]),
+    )
+    for text in texts
+]
+
+
+def _csv_line(fields, quote_all):
+    """One CSV line; fields that need it are quoted, and the rest too under quote_all."""
+    return ",".join(
+        '"' + f.replace('"', '""') + '"' if quote_all or f[:1] == '"' or set(f) & set(',\r\n')
+        else f
+        for f in fields
+    )
+
+
+class TestLoadCsvAgainstRowLoop:
+    """load_csv reads every file as a streaming csv.reader row loop does, bit for bit."""
+
+    @given(draw=st.data())
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_same_columns_or_same_error(self, tmp_path, draw):
+        rows = draw.draw(st.lists(st.tuples(*_CSV_FIELDS).map(list), max_size=8))
+        defect = draw.draw(st.sampled_from([None, "field", "field", "field", "short", "long"]))
+        if defect is not None:
+            row = draw.draw(st.tuples(*_CSV_FIELDS).map(list))
+            if defect == "field":
+                column, text = draw.draw(st.sampled_from(_BAD_FIELDS))
+                row[column] = text
+            elif defect == "short":
+                row = row[: draw.draw(st.integers(1, 5))]
+            else:
+                row.append(draw.draw(_LABEL))
+            at = draw.draw(st.one_of(st.just(len(rows)), st.integers(0, len(rows))))
+            rows.insert(at, row)
+        lines = [_csv_line(row, draw.draw(st.booleans())) for row in rows]
+        for _ in range(draw.draw(st.integers(0, 2))):
+            at = draw.draw(st.integers(0, len(lines)))
+            lines.insert(at, draw.draw(st.sampled_from(["", "", "", " ", "\t "])))
+        eol = draw.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = eol.join([",".join(CSV_HEADER), *lines]) + draw.draw(st.sampled_from(["", eol]))
+        path = tmp_path / "votes.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome_of_load(_loaded_rows, path) == _outcome_of_load(_row_loop, path)
+
+    @pytest.mark.parametrize(
+        "value, rating, message",
+        [
+            ("1_0", "0.5", "line 2: bad elapsed_value '1_0'"),
+            ("\u0663", "0.5", "line 2: bad elapsed_value '\u0663'"),
+            ("1", "0.1_0", "line 2: bad rating '0.1_0'"),
+            ("1", "0.\u0665", "line 2: bad rating '0.\u0665'"),
+        ],
+    )
+    def test_numbers_float_reads_but_the_file_may_not_hold(self, tmp_path, value, rating, message):
+        path = tmp_path / "votes.csv"
+        path.write_text(f"{','.join(CSV_HEADER)}\ne,a,{value},day,{rating},\n", encoding="utf-8")
+        with pytest.raises(CsvError) as err:
+            load_csv(path)
+        assert str(err.value) == message
 
 
 # Spellings the CSV accepts for each unit; all load as the first one.
