@@ -26,7 +26,7 @@ def main() -> None:
     parser.add_argument("--votes", type=int, default=100, help="votes per cell")
     parser.add_argument("--noise", type=float, default=0.1, help="rating noise SD")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--multistarts", type=int, default=8)
+    parser.add_argument("--multistarts", type=int, default=FitConfig.multistart_count)
     args = parser.parse_args()
 
     truth = reference_model()

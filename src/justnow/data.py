@@ -152,7 +152,7 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         if not fh.seekable():  # a pipe: keep its text, so that a bad row can be found again
             fh = io.StringIO(fh.read(), newline="")
-        header = next(csv.reader(fh), None)
+        _, header = next(_csv_rows(fh), (1, None))
         if header is None or [h.strip() for h in header] != CSV_HEADER:
             raise CsvError(1, f"expected header {','.join(CSV_HEADER)!r}")
         try:
@@ -188,12 +188,22 @@ def _number(text: str) -> float:
     return float(text.strip())
 
 
+def _csv_rows(fh):
+    """(line, row) of each CSV row from line 1; a row csv cannot read raises CsvError."""
+    line = 0
+    try:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            yield line, row
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise CsvError(line + 1, str(exc)) from None
+
+
 def _raise_first_bad_row(fh) -> NoReturn:
     """Rescan the open CSV row by row and raise the first bad row's CsvError."""
     fh.seek(0)
-    reader = csv.reader(fh)
-    next(reader)
-    for lineno, row in enumerate(reader, start=2):
+    rows = _csv_rows(fh)
+    next(rows)
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(CSV_HEADER):

@@ -3,10 +3,11 @@
 One minimizer serves every fit: a damped Gauss-Newton loop (Levenberg-Marquardt
 with Marquardt diagonal scaling) over a batch of independent problems, with
 analytic residuals and Jacobians.  The joint fit runs each start as a batch of
-one; the kernel fits of the baseline's pairs and of the informed start's
-adverbials run as one batch over every group and start.  Widths are optimized
-as log(sigma), so positivity holds by construction; kernel means are
-unconstrained.  The lowest final cost over several seeded starts wins.
+one; the kernel fits of the baseline's pairs, and of both informed starts'
+adverbials, run as one batch per cell count over every group and start.
+Widths are optimized as log(sigma), and the joint fit rejects a log width
+whose exp is 0 or infinite; kernel means are unconstrained.  The lowest final
+cost over two informed starts and seeded perturbations wins.
 
 Votes are reduced to per-cell statistics (count n, mean, within-cell sum of
 squares ss) sorted by (event, adverbial, minutes); both families fit
@@ -255,7 +256,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig):
             step_norm = np.sqrt(_sum_squares(trial - theta))
             theta_norm = np.sqrt(_sum_squares(theta))
             theta = np.where(moved[:, None], trial, theta)
-            r = np.where(moved[:, None], r_trial, r)
+            np.copyto(r, r_trial, where=moved[:, None])
             cost = np.where(moved, trial_cost, cost)
             iterations += moved
             converged |= moved & (
@@ -263,6 +264,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig):
                 | (rel_decrease < config.cost_tolerance)
                 | (step_norm <= config.param_tolerance * (theta_norm + config.param_tolerance))
             )
+        del r_trial  # the next residuals and Jacobian are built without these alive
         done = converged | (iterations >= config.max_iterations)
         if done.any():
             for out, state in zip(result, (theta, cost, iterations, converged)):
@@ -300,43 +302,38 @@ def _kernel_fns(groups, counts):
     def jacobian(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         g = group_of[rows]
         sigma = np.exp(theta[:, 1:])
-        z, k = _kernel_terms(x[g], theta[:, :1], sigma)
-        wk = weight[g] * k
+        # In place: a batch holds every group and start, so each (problems, cells)
+        # temporary adds to the fit's peak memory.
+        z, wk = _kernel_terms(x[g], theta[:, :1], sigma)
+        wk *= weight[g]
         jac = np.zeros((rows.size, x.shape[1] + 1, 2))  # the constant residual's row stays zero
-        jac[:, :-1, 0] = z * wk / sigma
-        jac[:, :-1, 1] = z * z * wk
+        np.multiply(z, wk, out=jac[:, :-1, 0])
+        jac[:, :-1, 0] /= sigma
+        z *= z
+        np.multiply(z, wk, out=jac[:, :-1, 1])
         return jac
 
     return residuals, jacobian
 
 
-# Residual values per kernel batch (64 KiB arrays).  On the vocab-ladder's 16x16
-# rung the fits raised the peak RSS by about 1.1 MB with one batch of every pair
-# and start, and by about 0.5 MB with batches of this size, at the same speed.
-_KERNEL_BATCH_VALUES = 8192
-
-
 def _fit_kernels(groups, starts, config: FitConfig) -> list[tuple]:
     """(theta, cost, iterations, converged) of each group's best start, the earliest on ties.
 
-    starts[i] lists group i's (mu, log sigma) starts.  Groups with the same
-    number of cells run in batches over all their starts.  Batches never mix
+    starts[i] lists group i's (mu, log sigma) starts.  The groups with the same
+    number of cells run as one batch over all their starts.  Batches never mix
     cell counts: zero-weight padding changes BLAS sums in the last bit, so a
     problem's steps would depend on its batch.
     """
     best: list = [None] * len(groups)
     for size in {len(group[0]) for group in groups}:
-        members = [i for i, group in enumerate(groups) if len(group[0]) == size]
-        per_problem = (size + 1) * max(len(starts[i]) for i in members)
-        step = max(1, _KERNEL_BATCH_VALUES // per_problem)
-        for batch in (members[k : k + step] for k in range(0, len(members), step)):
-            counts = [len(starts[i]) for i in batch]
-            fns = _kernel_fns([groups[i] for i in batch], counts)
-            theta0 = np.concatenate([starts[i] for i in batch])
-            theta, cost, iterations, converged = _levenberg_marquardt(*fns, theta0, config)
-            for i, end, count in zip(batch, np.cumsum(counts), counts):
-                j = end - count + int(np.argmin(cost[end - count : end]))
-                best[i] = (theta[j], float(cost[j]), int(iterations[j]), bool(converged[j]))
+        batch = [i for i, group in enumerate(groups) if len(group[0]) == size]
+        counts = [len(starts[i]) for i in batch]
+        fns = _kernel_fns([groups[i] for i in batch], counts)
+        theta0 = np.concatenate([starts[i] for i in batch])
+        theta, cost, iterations, converged = _levenberg_marquardt(*fns, theta0, config)
+        for i, end, count in zip(batch, np.cumsum(counts), counts):
+            j = end - count + int(np.argmin(cost[end - count : end]))
+            best[i] = (theta[j], float(cost[j]), int(iterations[j]), bool(converged[j]))
     return best
 
 
@@ -378,6 +375,9 @@ class _FactorizedProblem:
 
     def residuals(self, theta: np.ndarray, rows=None) -> np.ndarray:
         sigma_e, mu_a, sigma_a = self.split_theta(theta[0])
+        widths = np.concatenate([sigma_e, sigma_a])
+        if widths.min() == 0.0 or widths.max() == math.inf:  # exp over- or underflowed: no model
+            return np.full((1, self.r_template.size), math.nan)  # LM rejects non-finite costs
         _, k = _composite_terms(
             self.t, sigma_e[self.ev_idx], mu_a[self.ad_idx], sigma_a[self.ad_idx]
         )
@@ -412,58 +412,44 @@ def _rating_moments(x: np.ndarray, y: np.ndarray, n: np.ndarray):
     return mean, float((weight * (x - mean) ** 2).sum() / total)
 
 
-def _informed_kernel_start(problem: _FactorizedProblem, sigma0, config: FitConfig):
-    """Per-adverbial (mu_a, log sigma_a) from decoupled kernel fits.
-
-    Holding each event width at sigma0 fixes the precedence values, which
-    turns every adverbial into an independent two-parameter Gaussian fit on
-    (precedence, rating) points.  Each is solved from a deterministic
-    candidate grid plus a rating-weighted moment guess; the winners seed
-    the joint fit close to the global basin.
-    """
-    x0 = _precedence(problem.t, sigma0[problem.ev_idx])
-    groups, starts = [], []
-    for j in range(problem.n_adverbials):
-        mask = problem.ad_idx == j
-        xs, ys, ns = x0[mask], problem.y[mask], problem.n[mask]
-        candidates = [
-            np.array([mu, math.log(sigma)])
-            for mu in (0.35, 0.5, 0.65, 0.8, 0.95)
-            for sigma in (0.05, 0.15)
-        ]
-        mean, var = _rating_moments(xs, ys, ns)
-        if var is not None:
-            sigma = math.sqrt(var) if var > 0.0 else 0.1
-            candidates.append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
-        groups.append((xs, ys, ns, problem.ss[mask].sum()))
-        starts.append(candidates)
-    return np.array([theta for theta, *_ in _fit_kernels(groups, starts, config)])
-
-
 def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[np.ndarray]:
-    """Initial points, first multistart_count of: informed, spread, perturbations.
+    """Initial points, the first multistart_count of: two informed starts, then perturbations.
 
-    Both fixed starts put sigma_e at each event's median vote time.  The
-    informed start solves each kernel separately against those widths; the
-    spread start puts the kernel means evenly over [0.3, 1.0] with width 0.1.
-    The remaining starts are seeded perturbations of the informed one, so a
-    single start is the informed one.
+    The informed starts fix every event width, at its median vote time and then
+    at 10**(1/3) times that.  Fixed widths fix the precedence values, which turns
+    each adverbial into an independent two-parameter Gaussian fit on (precedence,
+    rating) points, solved from a deterministic candidate grid plus a
+    rating-weighted moment guess; both starts' kernels run in one _fit_kernels
+    call.  The remaining starts are seeded perturbations of the first, so a
+    single start is the first informed one.
     """
     event_votes = (np.repeat(problem.t[run], problem.n[run]) for run in _runs(problem.ev_idx))
     sigma0 = np.maximum([np.median(votes) for votes in event_votes], 1e-9)
-    if problem.n_adverbials == 1:
-        mu0 = np.array([0.65])
-    else:
-        mu0 = np.linspace(0.3, 1.0, problem.n_adverbials)
-    spread = np.concatenate(
-        [np.log(sigma0), np.column_stack([mu0, np.full_like(mu0, math.log(0.1))]).ravel()]
-    )
-    informed = spread.copy()
-    informed[problem.n_events :] = _informed_kernel_start(problem, sigma0, config).ravel()
-    starts = [informed, spread][: config.multistart_count]
+    widths = [sigma0, sigma0 * 10.0 ** (1.0 / 3.0)][: config.multistart_count]
+    grid = [
+        np.array([mu, math.log(sigma)])
+        for mu in (0.35, 0.5, 0.65, 0.8, 0.95)
+        for sigma in (0.05, 0.15)
+    ]
+    groups, kernel_starts = [], []
+    for sigma_e in widths:
+        x0 = _precedence(problem.t, sigma_e[problem.ev_idx])
+        for j in range(problem.n_adverbials):
+            mask = problem.ad_idx == j
+            xs, ys, ns = x0[mask], problem.y[mask], problem.n[mask]
+            candidates = list(grid)
+            mean, var = _rating_moments(xs, ys, ns)
+            if var is not None:
+                sigma = math.sqrt(var) if var > 0.0 else 0.1
+                candidates.append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
+            groups.append((xs, ys, ns, problem.ss[mask].sum()))
+            kernel_starts.append(candidates)
+    kernels = np.array([theta for theta, *_ in _fit_kernels(groups, kernel_starts, config)])
+    kernels = kernels.reshape(len(widths), 2 * problem.n_adverbials)
+    starts = [np.concatenate([np.log(sigma_e), k]) for sigma_e, k in zip(widths, kernels)]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.multistart_count - 2):
-        pert = informed.copy()
+        pert = starts[0].copy()
         pert[: problem.n_events] += rng.uniform(
             -math.log(10.0), math.log(10.0), problem.n_events
         )

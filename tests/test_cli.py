@@ -147,8 +147,8 @@ class TestFit:
         assert "converge" in capsys.readouterr().err
 
     def test_single_start_reaches_below_the_truth_cost(self, repo_root, tmp_path):
-        # On this survey a lone spread start collapses a kernel width to zero;
-        # a single start is the informed one, which reaches the best basin.
+        # A single start is the informed one, at each event's median vote time;
+        # on this survey it reaches the best basin.
         ref = repo_root / "reference_model.json"
         csv_path = tmp_path / "survey.csv"
         out = tmp_path / "single.json"
@@ -163,6 +163,27 @@ class TestFit:
         doc = json.loads(out.read_text())
         assert doc["converged"] is True
         assert doc["final_cost"] <= math.fsum(r * r)
+
+    @pytest.mark.parametrize("multistarts", ["1", "2"])
+    def test_width_that_underflows_is_rejected_not_fitted(self, tmp_path, capsys, multistarts):
+        # An LM step here once took e0's log width so low that exp() gave 0.0, and the
+        # fit exited 3 on its own optimum: "sigma_e must be finite and > 0, got 0.0".
+        truth = tmp_path / "truth.json"
+        save_model(FactorizedModel.from_params(
+            [EventParams("e0", 215.47476869403522), EventParams("e1", 45666.54755740047),
+             EventParams("e2", 69.69254400525236)],
+            [AdverbialParams("a0", 0.4512262081802536, 0.03435746211002281)],
+        ), truth)
+        csv_path, out = tmp_path / "survey.csv", tmp_path / "fit.json"
+        assert run([
+            "synthesize", "--truth", str(truth), "--times", "2", "--votes", "3",
+            "--noise", "0.3", "--seed", "333818", "--out", str(csv_path),
+        ]) == EXIT_OK
+        code = run(["fit", "--data", str(csv_path), "--out", str(out), "--multistarts", multistarts])
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE), capsys.readouterr().err
+        fitted = load_model(out)
+        assert all(0.0 < e.sigma_e < math.inf for e in fitted.events.values())
+        assert all(0.0 < a.sigma_a < math.inf for a in fitted.adverbials.values())
 
     def test_per_cell_means_flag(self, work):
         out = work["root"] / "cells.json"
@@ -532,6 +553,16 @@ class TestExitCodes:
         )
         assert run(["fit", "--data", str(bad), "--out", str(tmp_path / "o.json")]) == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
+
+    def test_field_over_csv_limit_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.csv"
+        bad.write_text(
+            "event,adverbial,elapsed_value,elapsed_unit,rating,respondent\n"
+            + "e" * 200_000 + ",a,1,day,0.5,p\n"
+            "e,a,1,day,2,p\n"
+        )
+        assert run(["fit", "--data", str(bad), "--out", str(tmp_path / "o.json")]) == EXIT_VALIDATION
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--cost-tolerance", "--param-tolerance"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

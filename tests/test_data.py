@@ -145,6 +145,20 @@ class TestCsv:
             load_csv(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            # loadtxt reads the long id; the rescan for the bad row meets csv's field limit.
+            ([",".join(CSV_HEADER), "e" * 200_000 + ",a,1,day,0.5,p01", "e,a,1,day,2,p01"], 2),
+            (["x" * 200_000, "Vacation,Recently,1,month,0.8,p01"], 1),
+        ],
+    )
+    def test_field_over_csv_limit_names_its_line(self, tmp_path, lines, line):
+        with pytest.raises(CsvError) as err:
+            load_csv(self._write(tmp_path, lines))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: field larger than field limit (131072)"
+
     def test_rating_out_of_bounds_names_line(self, tmp_path):
         path = self._write(
             tmp_path,

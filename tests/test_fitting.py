@@ -30,6 +30,7 @@ from justnow.model import (
     FactorizedModel,
     PairParams,
     UnknownIdError,
+    _precedence,
     baseline_probability,
     composite_probability,
     event_precedence,
@@ -377,19 +378,95 @@ class TestFitFactorized:
 
 
 class TestFactorizedStarts:
-    def test_order_is_informed_spread_perturbations(self, tiny_truth):
+    def test_order_is_informed_scaled_informed_perturbations(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
         problem = _FactorizedProblem(data, per_cell_means=False)
-        starts = _factorized_starts(problem, FitConfig(multistart_count=4, seed=9))
+        config = FitConfig(multistart_count=4, seed=9)
+        starts = _factorized_starts(problem, config)
         for count in (1, 2, 3):
             prefix = _factorized_starts(problem, FitConfig(multistart_count=count, seed=9))
             assert len(prefix) == count
             assert all(np.array_equal(a, b) for a, b in zip(prefix, starts))
-        informed, spread = starts[:2]
-        # Both fixed starts share the event widths; only the kernels differ.
-        assert np.array_equal(informed[:2], spread[:2])
-        assert not np.array_equal(informed[2:], spread[2:])
-        assert np.array_equal(spread[2:], [0.3, math.log(0.1), 1.0, math.log(0.1)])
+        informed, scaled, *perturbations = starts
+        sigma0 = np.array([np.median(data.minutes[data.event == i]) for i in range(2)])
+        for start, widths in ((informed, sigma0), (scaled, sigma0 * 10.0 ** (1.0 / 3.0))):
+            assert np.array_equal(start[:2], np.log(widths))
+            # Each kernel is fitted against the start's own widths: a kernel fit from it stays.
+            x = _precedence(problem.t, widths[problem.ev_idx])
+            for j in range(2):
+                mask = problem.ad_idx == j
+                group = (x[mask], problem.y[mask], problem.n[mask], problem.ss[mask].sum())
+                kernel = start[2 + 2 * j : 4 + 2 * j]
+                theta, _, iterations, converged = _fit_kernels([group], [[kernel]], config)[0]
+                assert converged and iterations <= 1
+                assert theta == pytest.approx(kernel, rel=1e-6)
+        assert not np.array_equal(informed[2:], scaled[2:])
+        # The perturbations move the first informed start's widths and kernels within their ranges.
+        for pert in perturbations:
+            delta = np.abs(pert - informed)
+            assert 0.0 < delta[:2].max() <= math.log(10.0)
+            assert 0.0 < delta[2::2].max() <= 0.25
+            assert 0.0 < delta[3::2].max() <= 1.0
+
+
+class TestFactorizedBasins:
+    @staticmethod
+    def _ladder_truth(n_events, n_adverbials):
+        """The benchmark's vocabulary-ladder truth: widths log-spaced over [1e3, 2.5e6]
+        minutes, kernel means even over [0.55, 0.9], kernel widths log-spaced over [0.06, 0.2]."""
+        return FactorizedModel.from_params(
+            [EventParams(f"e{i:02d}", s) for i, s in enumerate(np.geomspace(1e3, 2.5e6, n_events))],
+            [
+                AdverbialParams(f"a{j:02d}", m, s)
+                for j, (m, s) in enumerate(
+                    zip(np.linspace(0.55, 0.9, n_adverbials), np.geomspace(0.06, 0.2, n_adverbials))
+                )
+            ],
+        )
+
+    # Draws on which every default start but the scaled informed one ends above the
+    # truth's cost, reported as converged: only that start reaches the truth's basin.
+    @pytest.mark.parametrize(
+        "shape, rung, seed",
+        [((2, 4), 1, s) for s in (3, 9, 54, 65, 68, 75, 76)] + [((2, 8), 2, s) for s in (41, 44)],
+    )
+    def test_ladder_fit_ends_at_or_below_the_truth_cost(self, shape, rung, seed):
+        truth = self._ladder_truth(*shape)
+        data = generate_synthetic(truth, 7, 5, 0.1, 1000 * seed + rung)
+        r = residuals_factorized(truth, data)
+        report = fit_factorized(data)
+        assert report.converged
+        assert report.final_cost <= math.fsum(r * r)
+
+    @given(
+        n_events=st.integers(1, 3),
+        n_adverbials=st.integers(1, 4),
+        times=st.integers(2, 7),
+        votes=st.integers(1, 6),
+        noise=st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        multistarts=st.integers(1, 5),
+        params=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fit_never_raises(
+        self, n_events, n_adverbials, times, votes, noise, seed, multistarts, params
+    ):
+        widths = st.floats(1.0, 7.0).map(lambda log10: 10.0**log10)
+        truth = FactorizedModel.from_params(
+            [EventParams(f"e{i}", params.draw(widths)) for i in range(n_events)],
+            [
+                AdverbialParams(
+                    f"a{j}", params.draw(st.floats(0.3, 1.0)), params.draw(st.floats(0.02, 0.5))
+                )
+                for j in range(n_adverbials)
+            ],
+        )
+        data = generate_synthetic(truth, times, votes, noise, seed)
+        report = fit_factorized(data, FitConfig(multistart_count=multistarts, seed=seed))
+        assert isinstance(report, FitReport)
+        assert math.isfinite(report.final_cost)
+        assert report.parameter_count == n_events + 2 * n_adverbials
 
 
 class TestFitBaseline:
