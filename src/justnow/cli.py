@@ -25,7 +25,7 @@ from .evaluation import (
     format_accuracy_report,
     format_extendability_table,
 )
-from .fitting import FitConfig, FitReport, fit_baseline, fit_factorized
+from .fitting import FitConfig, FitReport, cell_means, fit_baseline, fit_factorized
 from .model import (
     Duration,
     _write_document,
@@ -73,7 +73,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(FitConfig) if f.name in args}
     # Looked up per call, not stored in the parser, so a rebound name is honoured.
     fit = fit_factorized if args.subcommand == "fit" else fit_baseline
-    report = fit(load_csv(args.data), FitConfig(**given))
+    data = load_csv(args.data)
+    report = fit(cell_means(data) if "per_cell_means" in args else data, FitConfig(**given))
     _write_document(args.out, _report_payload(report))
     print(
         f"cost={report.final_cost:.6g} iterations={report.iterations} "
@@ -192,14 +193,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--data", required=True, help="judgment CSV path")
         p.add_argument("--out", required=True, help="output model+report JSON path")
         p.add_argument("--max-iterations", type=int)
-        p.add_argument("--cost-tolerance", type=float)
-        p.add_argument("--param-tolerance", type=float)
         p.add_argument("--multistarts", type=int, dest="multistart_count")
         p.add_argument("--seed", type=int)
         p.add_argument(
             "--per-cell-means",
             action="store_true",
-            help="give each cell's mean rating unit weight instead of weighting by votes",
+            help="fit one vote per (event, adverbial, time) cell, at the cell's mean rating",
         )
         p.set_defaults(func=_cmd_fit)
 

@@ -168,11 +168,13 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         del table
         spelling_ids, spelling = _encode(spellings)
         unit_ids = np.array([canonical_unit(text) for text in spelling_ids], dtype=object)
+        scale = np.array([UNIT_MINUTES.get(unit, math.nan) for unit in unit_ids])  # nan: unknown
+        with np.errstate(over="ignore"):  # a finite value may be infinite in minutes
+            minutes = value * scale[spelling]
         if (
             "" in events
             or "" in adverbials
-            or not np.all((rating >= 0.0) & (rating <= 1.0) & (value >= 0.0) & (value < math.inf))
-            or not all(unit in UNIT_MINUTES for unit in unit_ids)
+            or not np.all((rating >= 0.0) & (rating <= 1.0) & (value >= 0.0) & (minutes < math.inf))
         ):
             _raise_first_bad_row(fh)
     return Dataset._from_columns(

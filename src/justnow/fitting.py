@@ -13,6 +13,7 @@ Votes are reduced to per-cell statistics (count n, mean, within-cell sum of
 squares ss) sorted by (event, adverbial, minutes); both families fit
 sqrt(n) * (prediction - mean) plus a constant sqrt(sum of ss), whose squares
 sum to the per-vote cost.  Fits are bit-for-bit the same for any record order.
+To give each cell's mean rating unit weight instead, fit cell_means(data).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import (
 __all__ = [
     "FitConfig",
     "FitReport",
+    "cell_means",
     "fit_factorized",
     "fit_baseline",
     "residuals_factorized",
@@ -47,28 +49,19 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
+_COST_TOLERANCE, _PARAM_TOLERANCE = 1e-10, 1e-8  # when _levenberg_marquardt stops
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings shared by both model families.
-
-    per_cell_means gives each (event, adverbial, time) cell's mean rating
-    unit weight, a different objective from the default per-vote one.
-    """
+    """Step budget per start, start count and perturbation seed, for both model families."""
 
     max_iterations: int = 500
-    cost_tolerance: float = 1e-10
-    param_tolerance: float = 1e-8
     multistart_count: int = 8
     seed: int = 0
-    per_cell_means: bool = False
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (0 <= self.cost_tolerance < math.inf and 0 <= self.param_tolerance < math.inf):
-            raise ValueError("tolerances must be finite and >= 0")
         if self.multistart_count < 1:
             raise ValueError(f"multistart_count must be >= 1, got {self.multistart_count}")
         if self.seed < 0:
@@ -79,9 +72,9 @@ class FitConfig:
 class FitReport:
     """Outcome of one fit: the model plus cost and convergence accounting.
 
-    final_cost sums squared residuals over the residual_count votes (cell means
-    under per_cell_means).  iterations counts accepted optimizer steps (summed
-    over pairs for the baseline).  warnings lists pairs with a heuristic width.
+    final_cost sums squared residuals over the residual_count votes.  iterations
+    counts accepted optimizer steps (summed over pairs for the baseline).
+    warnings lists pairs with a heuristic width.
     """
 
     model: FactorizedModel | PairGaussianModel
@@ -134,12 +127,10 @@ def _runs(*columns: np.ndarray) -> list[np.ndarray]:
     return np.split(np.arange(len(columns[0])), _run_starts(*columns)[1:])
 
 
-def _cells_from_dataset(data: Dataset, per_cell_means: bool):
+def _cells_from_dataset(data: Dataset):
     """(event, adverbial, t_minutes, n, mean, ss, min, max) arrays, one entry per cell.
 
-    Cells are sorted by (event, adverbial, minutes); event and adverbial index
-    data's id tables.  per_cell_means makes every cell a single vote at its
-    mean rating.
+    Cells are sorted by (event, adverbial, minutes); event and adverbial index data's id tables.
     """
     if not len(data):
         raise ValueError("dataset is empty")
@@ -152,10 +143,21 @@ def _cells_from_dataset(data: Dataset, per_cell_means: bool):
     cells = (event[starts], adverbial[starts], t[starts])
     n = np.diff(starts, append=rating.size)
     mean = np.add.reduceat(rating, starts) / n
-    if per_cell_means:
-        rating, starts, n = mean, np.arange(mean.size), np.ones_like(n)
     ss = np.add.reduceat((rating - np.repeat(mean, n)) ** 2, starts)
     return (*cells, n, mean, ss, rating[starts], rating[starts + n - 1])
+
+
+def cell_means(data: Dataset) -> Dataset:
+    """data with each (event, adverbial, minutes) cell's votes replaced by one vote at their mean.
+
+    Fitting it gives every cell's mean rating unit weight, where fitting data
+    weights it by its vote count.  Times are in minutes; respondents are empty.
+    """
+    event, adverbial, t, _, mean, *_ = _cells_from_dataset(data)
+    return Dataset._from_columns(
+        data.event_ids[event], data.adverbial_ids[adverbial], t, ("minute",) * t.size, mean,
+        (None,) * t.size, source=data.source, seed=data.seed,
+    )
 
 
 def residuals_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
@@ -203,7 +205,7 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # norms and costs of runaway points may overflow to inf
-def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig):
+def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, max_iterations: int):
     """Damped Gauss-Newton with Marquardt scaling over a batch of independent problems.
 
     theta0 is (G, p); residual_fn(theta, rows) and jacobian_fn(theta, rows) map
@@ -212,17 +214,17 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig):
     and converged flag.  Each pass tries one damped step per running problem,
     which keeps its own damping, Jacobian and termination, so it takes the same
     steps in any batch as alone.  A step is accepted only if it strictly lowers
-    the cost.  Termination: relative cost decrease below cost_tolerance, step
-    norm below param_tolerance (scaled by the parameter norm), exact zero cost,
-    or no downhill step at any damping (a stationary point).  Hitting
-    max_iterations without one of those, or a non-finite starting cost, leaves
-    converged False.
+    the cost.  Termination: relative cost decrease below _COST_TOLERANCE, step
+    norm below _PARAM_TOLERANCE (scaled by the parameter norm), exact zero cost,
+    or no downhill step at any damping (a stationary point).  Taking
+    max_iterations steps without one of those, or a non-finite start or starting
+    cost, leaves converged False.
     """
     theta = np.array(theta0, dtype=float)
     count, n_params = theta.shape
     r = residual_fn(theta, np.arange(count))
     cost = _sum_squares(r)
-    cost[~np.isfinite(cost)] = math.inf
+    cost[~(np.isfinite(cost) & np.isfinite(theta).all(axis=1))] = math.inf  # never stepped from
     result = (theta.copy(), cost.copy(), np.zeros(count, dtype=int), cost == 0.0)
     # State of the running problems only, compacted as they finish; live maps
     # them to the batch.  Jacobians are recomputed only after a step, and
@@ -261,11 +263,11 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, config: FitConfig):
             iterations += moved
             converged |= moved & (
                 (cost == 0.0)
-                | (rel_decrease < config.cost_tolerance)
-                | (step_norm <= config.param_tolerance * (theta_norm + config.param_tolerance))
+                | (rel_decrease < _COST_TOLERANCE)
+                | (step_norm <= _PARAM_TOLERANCE * (theta_norm + _PARAM_TOLERANCE))
             )
         del r_trial  # the next residuals and Jacobian are built without these alive
-        done = converged | (iterations >= config.max_iterations)
+        done = converged | (iterations >= max_iterations)
         if done.any():
             for out, state in zip(result, (theta, cost, iterations, converged)):
                 out[live[done]] = state[done]
@@ -316,7 +318,7 @@ def _kernel_fns(groups, counts):
     return residuals, jacobian
 
 
-def _fit_kernels(groups, starts, config: FitConfig) -> list[tuple]:
+def _fit_kernels(groups, starts, max_iterations: int) -> list[tuple]:
     """(theta, cost, iterations, converged) of each group's best start, the earliest on ties.
 
     starts[i] lists group i's (mu, log sigma) starts.  The groups with the same
@@ -330,7 +332,7 @@ def _fit_kernels(groups, starts, config: FitConfig) -> list[tuple]:
         counts = [len(starts[i]) for i in batch]
         fns = _kernel_fns([groups[i] for i in batch], counts)
         theta0 = np.concatenate([starts[i] for i in batch])
-        theta, cost, iterations, converged = _levenberg_marquardt(*fns, theta0, config)
+        theta, cost, iterations, converged = _levenberg_marquardt(*fns, theta0, max_iterations)
         for i, end, count in zip(batch, np.cumsum(counts), counts):
             j = end - count + int(np.argmin(cost[end - count : end]))
             best[i] = (theta[j], float(cost[j]), int(iterations[j]), bool(converged[j]))
@@ -347,9 +349,8 @@ class _FactorizedProblem:
     residuals and jacobian take a batch of one problem and ignore rows.
     """
 
-    def __init__(self, data: Dataset, per_cell_means: bool):
-        cells = _cells_from_dataset(data, per_cell_means)
-        self.ev_idx, self.ad_idx, self.t, self.n, self.y, self.ss, _, _ = cells
+    def __init__(self, data: Dataset):
+        self.ev_idx, self.ad_idx, self.t, self.n, self.y, self.ss, _, _ = _cells_from_dataset(data)
         self.event_ids, self.adverbial_ids = data.event_ids, data.adverbial_ids
         self.weight = np.sqrt(self.n)
         self.r_template = np.append(np.zeros_like(self.t), math.sqrt(self.ss.sum()))
@@ -402,6 +403,7 @@ class _FactorizedProblem:
         )
 
 
+@np.errstate(all="ignore")  # times far apart may overflow the variance to inf
 def _rating_moments(x: np.ndarray, y: np.ndarray, n: np.ndarray):
     """Rating-weighted mean and variance of x over n votes per cell; None variance if no rating."""
     weight = n * y
@@ -412,6 +414,7 @@ def _rating_moments(x: np.ndarray, y: np.ndarray, n: np.ndarray):
     return mean, float((weight * (x - mean) ** 2).sum() / total)
 
 
+@np.errstate(over="ignore")  # times near the float range overflow widths and t / sigma_e to inf
 def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[np.ndarray]:
     """Initial points, the first multistart_count of: two informed starts, then perturbations.
 
@@ -444,8 +447,8 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
                 candidates.append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
             groups.append((xs, ys, ns, problem.ss[mask].sum()))
             kernel_starts.append(candidates)
-    kernels = np.array([theta for theta, *_ in _fit_kernels(groups, kernel_starts, config)])
-    kernels = kernels.reshape(len(widths), 2 * problem.n_adverbials)
+    kernels = [theta for theta, *_ in _fit_kernels(groups, kernel_starts, config.max_iterations)]
+    kernels = np.reshape(kernels, (len(widths), 2 * problem.n_adverbials))
     starts = [np.concatenate([np.log(sigma_e), k]) for sigma_e, k in zip(widths, kernels)]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.multistart_count - 2):
@@ -463,16 +466,15 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
 def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     """Joint least-squares fit of all event and adverbial parameters.
 
-    Minimizes the per-vote sum of squares through the cell statistics (or
-    the unit-weight cost of the cell means if the config asks for them).
+    Minimizes the per-vote sum of squares through the cell statistics.
     Raises ValueError when the dataset is empty or some observed pair has
     fewer than two distinct elapsed times.  A fit that exhausts
     max_iterations is returned with converged False rather than raised.
     """
-    problem = _FactorizedProblem(data, config.per_cell_means)
+    problem = _FactorizedProblem(data)
     runs = [
-        _levenberg_marquardt(problem.residuals, problem.jacobian, theta0[None], config)
-        for theta0 in _factorized_starts(problem, config)
+        _levenberg_marquardt(problem.residuals, problem.jacobian, x0[None], config.max_iterations)
+        for x0 in _factorized_starts(problem, config)
     ]
     theta, cost, iterations, converged = min(runs, key=lambda run: run[1][0])  # earliest on ties
     return FitReport(
@@ -511,7 +513,7 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     the same way, and the fit is reported as not converged.  iterations is
     the sum of accepted steps across pairs.
     """
-    event, adverbial, t, n, y, ss, lo, hi = _cells_from_dataset(data, config.per_cell_means)
+    event, adverbial, t, n, y, ss, lo, hi = _cells_from_dataset(data)
     rng = np.random.default_rng(config.seed)
     pairs: list[PairParams] = []
     costs: list[float] = []
@@ -539,7 +541,7 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
             groups.append(group)
             starts.append(_pair_starts(ts, ys, ns, rng, config.multistart_count))
 
-    fits = _fit_kernels(groups, starts, config)
+    fits = _fit_kernels(groups, starts, config.max_iterations)
     converged = all(fit[3] for fit in fits)
     for key, group, (theta, cost, _, _) in zip(keys, groups, fits):
         try:

@@ -98,8 +98,8 @@ class Duration:
                 f"unknown time unit {self.unit!r}; expected one of {sorted(UNIT_MINUTES)}"
             )
         value = float(self.value)
-        if not math.isfinite(value) or value < 0.0:
-            raise DomainError(f"duration value must be finite and >= 0, got {self.value!r}")
+        if not math.isfinite(value * UNIT_MINUTES[self.unit]) or value < 0.0:
+            raise DomainError(f"duration must be finite in minutes and >= 0, got {self.value!r}")
         object.__setattr__(self, "value", value)
 
     def to_minutes(self) -> float:

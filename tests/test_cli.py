@@ -222,20 +222,19 @@ class TestFitFlags:
     )
     def test_flags_override_fit_config_defaults(self, work, tmp_path, monkeypatch, command, fit):
         # The handler looks the fit function up per call, so the stand-in is used.
-        configs = []
+        calls = []
 
         def record(data, config):
-            configs.append(config)
+            calls.append((len(data), config))
             return FitReport(work["truth"], 0.0, 0, True, len(data), 6)
 
         monkeypatch.setattr(cli, fit, record)
         argv = [command, "--data", str(work["clean_csv"]), "--out", str(tmp_path / "o.json")]
         assert run(argv) == EXIT_OK
-        assert run(argv + [
-            "--max-iterations", "7", "--cost-tolerance", "1e-6", "--param-tolerance", "1e-5",
-            "--multistarts", "3", "--seed", "5", "--per-cell-means",
-        ]) == EXIT_OK
-        assert configs == [FitConfig(), FitConfig(7, 1e-6, 1e-5, 3, 5, True)]
+        assert run(argv + ["--max-iterations", "7", "--multistarts", "3", "--seed", "5"]) == EXIT_OK
+        assert run(argv + ["--per-cell-means"]) == EXIT_OK
+        # 2 x 2 pairs x 5 times x 2 votes; --per-cell-means fits one vote per cell.
+        assert calls == [(40, FitConfig()), (40, FitConfig(7, 3, 5)), (20, FitConfig())]
 
 
 class TestSpecExampleEndToEnd:
@@ -566,12 +565,50 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--cost-tolerance", "--param-tolerance"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_tolerance_is_validation_error(self, work, tmp_path, capsys, flag, value):
+    def test_tolerance_flag_is_usage_error(self, work, tmp_path, capsys, flag, value):
+        # The stopping tolerances are the minimizer's constants, not flags.
         out = tmp_path / "o.json"
         argv = ["fit", "--data", str(work["noisy_csv"]), "--out", str(out), flag, value]
-        assert run(argv) == EXIT_VALIDATION
-        assert "finite" in capsys.readouterr().err
+        assert run(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["fit", "fit-baseline"])
+    def test_time_infinite_in_minutes_is_validation_error(self, tmp_path, capsys, subcommand):
+        csv, out = tmp_path / "huge.csv", tmp_path / "o.json"
+        csv.write_text(
+            "event,adverbial,elapsed_value,elapsed_unit,rating,respondent\n"
+            "e,a,1e308,year,0.5,\n"
+            "e,a,1,day,0.2,\n"
+            "e,a,2,day,0.3,\n"
+        )
+        assert run([subcommand, "--data", str(csv), "--out", str(out)]) == EXIT_VALIDATION
+        assert "line 2: duration must be finite in minutes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_time_infinite_in_minutes_is_validation_error(self, work, capsys):
+        argv = ["predict", "--model", str(work["fit_json"]), "--event", "meal"]
+        assert run(argv + ["--elapsed", "1e308 years"]) == EXIT_VALIDATION
+        assert "finite in minutes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, minutes_ratings, code",
+        [
+            # The runaway pair is pinned, so the fit exits 4.
+            ("fit-baseline", [(1, 0.2), (1e300, 0.9), (1, 0.3)], EXIT_NO_CONVERGENCE),
+            ("fit", [(0, 0.2), (0, 0.3), (1e300, 0.9)], EXIT_OK),
+            # The scaled informed start's widths overflow; that start is never stepped from.
+            ("fit", [(1e308, 1.0), (1e308, 1.0), (0, 0.5)], EXIT_OK),
+        ],
+    )
+    def test_extreme_times_leak_no_numpy_warning(self, tmp_path, subcommand, minutes_ratings, code):
+        # Pytest turns a leaked RuntimeWarning into an error.
+        csv = tmp_path / "extreme.csv"
+        csv.write_text(
+            "event,adverbial,elapsed_value,elapsed_unit,rating,respondent\n"
+            + "".join(f"e,a,{t},minute,{y},\n" for t, y in minutes_ratings)
+        )
+        assert run([subcommand, "--data", str(csv), "--out", str(tmp_path / "o.json")]) == code
 
     @pytest.mark.parametrize("subcommand", ["fit", "fit-baseline"])
     def test_negative_seed_is_validation_error(self, work, tmp_path, capsys, subcommand):

@@ -182,6 +182,7 @@ class TestCsv:
             "Vacation,Recently,1,month,high,p01",
             "Vacation,Recently,1,fortnight,0.8,p01",
             "Vacation,Recently,-1,month,0.8,p01",
+            "Vacation,Recently,1e308,year,0.8,p01",
             "Vacation,Recently,1,month,nan,p01",
             ",Recently,1,month,0.8,p01",
             "Vacation,,1,month,0.8,p01",

@@ -402,6 +402,11 @@ class TestDuration:
         with pytest.raises(DomainError):
             Duration(math.inf, "day")
 
+    def test_value_infinite_in_minutes(self):
+        with pytest.raises(DomainError, match="finite in minutes"):
+            Duration(1e308, "year")
+        assert Duration(1e308, "minute").to_minutes() == 1e308
+
 
 class TestParamValidation:
     def test_event_sigma_must_be_positive(self):
