@@ -74,7 +74,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # Looked up per call, not stored in the parser, so a rebound name is honoured.
     fit = fit_factorized if args.subcommand == "fit" else fit_baseline
     data = load_csv(args.data)
-    report = fit(cell_means(data) if "per_cell_means" in args else data, FitConfig(**given))
+    config = FitConfig(**given)
+    report = fit(cell_means(data) if "per_cell_means" in args else data, config)
     _write_document(args.out, _report_payload(report))
     print(
         f"cost={report.final_cost:.6g} iterations={report.iterations} "
@@ -84,7 +85,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.converged:
-        print("warning: fit did not converge; wrote best parameters found", file=sys.stderr)
+        print(
+            f"warning: fit did not converge within --max-iterations={config.max_iterations}; "
+            "wrote best parameters found",
+            file=sys.stderr,
+        )
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -7,7 +7,9 @@ one; the kernel fits of the baseline's pairs, and of both informed starts'
 adverbials, run as one batch per cell count over every group and start.
 Widths are optimized as log(sigma), and the joint fit rejects a log width
 whose exp is 0 or infinite; kernel means are unconstrained.  The lowest final
-cost over two informed starts and seeded perturbations wins.
+cost over two informed starts and seeded perturbations wins.  Each problem
+gets at most FitConfig.max_iterations accepted steps, 100 by default: more
+than any winner on the benchmark's surveys needs, so runaways stop early.
 
 Votes are reduced to per-cell statistics (count n, mean, within-cell sum of
 squares ss) sorted by (event, adverbial, minutes); both families fit
@@ -53,9 +55,14 @@ _COST_TOLERANCE, _PARAM_TOLERANCE = 1e-10, 1e-8  # when _levenberg_marquardt sto
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Step budget per start, start count and perturbation seed, for both model families."""
+    """Step budget per start, start count and perturbation seed, for both model families.
 
-    max_iterations: int = 500
+    max_iterations caps the accepted steps of every problem: each joint start,
+    each informed-start kernel candidate and each baseline pair start.  A
+    winner that uses the whole budget is reported as not converged.
+    """
+
+    max_iterations: int = 100
     multistart_count: int = 8
     seed: int = 0
 
@@ -74,7 +81,7 @@ class FitReport:
 
     final_cost sums squared residuals over the residual_count votes.  iterations
     counts accepted optimizer steps (summed over pairs for the baseline).
-    warnings lists pairs with a heuristic width.
+    warnings lists baseline pairs with a heuristic width or an unconverged best start.
     """
 
     model: FactorizedModel | PairGaussianModel
@@ -449,6 +456,9 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
             kernel_starts.append(candidates)
     kernels = [theta for theta, *_ in _fit_kernels(groups, kernel_starts, config.max_iterations)]
     kernels = np.reshape(kernels, (len(widths), 2 * problem.n_adverbials))
+    # A kernel fit may run a log width to where exp is 0 or inf: clip it to a normal float.
+    finfo = np.finfo(float)
+    kernels[:, 1::2] = np.clip(kernels[:, 1::2], math.log(finfo.tiny), math.log(finfo.max))
     starts = [np.concatenate([np.log(sigma_e), k]) for sigma_e, k in zip(widths, kernels)]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.multistart_count - 2):
@@ -507,11 +517,13 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
 
     Pairs with a single distinct elapsed time or zero rating variance leave
     the width non-identifiable: mu is fixed at the rating-weighted mean time
-    (plain mean when all ratings are zero), sigma falls back to the observed
-    time span with a one-minute floor, and the pair is reported in warnings.
-    A pair whose best start runs out of the valid parameter range is pinned
-    the same way, and the fit is reported as not converged.  iterations is
-    the sum of accepted steps across pairs.
+    (plain mean when all ratings are zero; the middle of the times if that
+    overflows), sigma falls back to the observed time span with a one-minute
+    floor, and the pair is reported in warnings.  A pair whose best start runs
+    out of the valid parameter range is pinned the same way; one whose best
+    start did not converge keeps its fit and is named in warnings.  Either
+    makes the fit not converged.  iterations is the sum of accepted steps
+    across pairs.
     """
     event, adverbial, t, n, y, ss, lo, hi = _cells_from_dataset(data)
     rng = np.random.default_rng(config.seed)
@@ -523,6 +535,8 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     def pin(key: tuple[str, str], group, reason: str) -> None:
         ts, ys, ns, _ = group
         mu, _ = _rating_moments(ts, ys, ns)
+        if not math.isfinite(mu):  # the weighted sum of times overflowed
+            mu = float(ts.min() + (ts.max() - ts.min()) / 2.0)
         sigma = max(float(ts.max() - ts.min()), 1.0)
         warnings.append(f"pair {key!r}: {reason}; fixed sigma at {sigma:g} minutes")
         residual_fn, _ = _kernel_fns([group], [1])
@@ -543,16 +557,18 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
 
     fits = _fit_kernels(groups, starts, config.max_iterations)
     converged = all(fit[3] for fit in fits)
-    for key, group, (theta, cost, _, _) in zip(keys, groups, fits):
+    for key, group, (theta, cost, _, pair_converged) in zip(keys, groups, fits):
+        at = f"(mu {theta[0]:.6g}, log sigma {theta[1]:.6g})"
         try:
             pair = PairParams(*key, float(theta[0]), math.exp(theta[1]))
         except (DomainError, OverflowError):
-            reason = f"best start ran out of range (mu {theta[0]:.6g}, log sigma {theta[1]:.6g})"
-            pin(key, group, reason)
+            pin(key, group, f"best start ran out of range {at}")
             converged = False
-        else:
-            pairs.append(pair)
-            costs.append(cost)
+            continue
+        if not pair_converged:
+            warnings.append(f"pair {key!r}: best start did not converge {at}")
+        pairs.append(pair)
+        costs.append(cost)
     return FitReport(
         model=PairGaussianModel.from_params(pairs),
         final_cost=sum(costs),

@@ -144,7 +144,7 @@ class TestFit:
         assert code == EXIT_NO_CONVERGENCE
         assert out.exists()
         assert json.loads(out.read_text())["converged"] is False
-        assert "converge" in capsys.readouterr().err
+        assert "did not converge within --max-iterations=1;" in capsys.readouterr().err
 
     def test_single_start_reaches_below_the_truth_cost(self, repo_root, tmp_path):
         # A single start is the informed one, at each event's median vote time;
@@ -185,6 +185,21 @@ class TestFit:
         assert all(0.0 < e.sigma_e < math.inf for e in fitted.events.values())
         assert all(0.0 < a.sigma_a < math.inf for a in fitted.adverbials.values())
 
+    def test_kernel_width_out_of_float_range_is_clipped(self, tmp_path, capsys):
+        # a1's flat ratings drive its informed kernel fit to log sigma_a ~ 2.6e19, whose
+        # exp is infinite.
+        csv, out = tmp_path / "wide.csv", tmp_path / "fit.json"
+        csv.write_text(
+            "event,adverbial,elapsed_value,elapsed_unit,rating,respondent\n"
+            "e0,a0,0,minute,0.0,\n"
+            "e0,a0,1,minute,0.0,\n"
+            "e0,a1,0,minute,1.0,\n"
+            "e0,a1,1e300,minute,1.0,\n"
+        )
+        assert run(["fit", "--data", str(csv), "--out", str(out)]) == EXIT_OK, capsys.readouterr().err
+        fitted = load_model(out)
+        assert all(0.0 < a.sigma_a < math.inf for a in fitted.adverbials.values())
+
     def test_per_cell_means_flag(self, work):
         out = work["root"] / "cells.json"
         code = run([
@@ -214,6 +229,25 @@ class TestFitBaseline:
         ]) == EXIT_NO_CONVERGENCE
         assert json.loads(out.read_text())["converged"] is False
         assert "ran out of range" in capsys.readouterr().err
+
+    def test_overflowing_mean_time_is_pinned_finite(self, tmp_path, capsys):
+        # The pair's rating-weighted mean time overflows to inf.
+        csv, out = tmp_path / "huge.csv", tmp_path / "base.json"
+        csv.write_text(
+            "event,adverbial,elapsed_value,elapsed_unit,rating,respondent\n"
+            "e,a,1e308,minute,1,\n"
+            "e,a,1e308,minute,1,\n"
+            "e,a,0,minute,0.5,\n"
+        )
+        assert run(["fit-baseline", "--data", str(csv), "--out", str(out)]) == EXIT_NO_CONVERGENCE
+        assert "warning: pair ('e', 'a'): " in capsys.readouterr().err
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in the fit JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["converged"] is False
+        assert 0.0 <= doc["pairs"][0]["mu_minutes"] <= 1e308
 
 
 class TestFitFlags:

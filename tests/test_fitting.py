@@ -285,6 +285,9 @@ class TestFitConfig:
         # The minimizer's tolerances are its constants, and per-cell means is a dataset.
         assert [f.name for f in fields(FitConfig)] == ["max_iterations", "multistart_count", "seed"]
 
+    def test_default_budget(self):
+        assert FitConfig().max_iterations == 100
+
 
 class TestFitFactorized:
     def test_zero_noise_recovery_single_pair(self):
@@ -428,6 +431,24 @@ class TestFactorizedBasins:
         assert report.converged
         assert report.final_cost <= math.fsum(r * r)
 
+    # The benchmark's ladder rungs, drawn as it draws them: no winner there needs more
+    # steps than the default budget, so a larger one returns the same report.
+    @pytest.mark.parametrize("shape, rung", [((2, 8), 2), ((2, 16), 3)])
+    def test_default_budget_matches_a_larger_one_on_the_ladder(self, shape, rung):
+        data = generate_synthetic(self._ladder_truth(*shape), 7, 5, 0.1, 42000 + rung)
+        assert fit_factorized(data) == fit_factorized(data, FitConfig(max_iterations=500))
+
+    def test_informed_kernel_width_stays_in_float_range(self):
+        # Both ratings are 0: one kernel candidate reaches zero cost in a step at
+        # log sigma_a ~ -196,293, whose exp is 0.  The start clips it to a normal float.
+        truth = FactorizedModel.from_params(
+            [EventParams("e0", 10.0)], [AdverbialParams("a0", 0.3125, 0.02)]
+        )
+        data = generate_synthetic(truth, 2, 1, 0.05, 224)
+        report = fit_factorized(data, FitConfig(max_iterations=100, multistart_count=1, seed=224))
+        assert report.final_cost == 0.0
+        assert 0.0 < report.model.adverbial("a0").sigma_a < math.inf
+
     @given(
         n_events=st.integers(1, 3),
         n_adverbials=st.integers(1, 4),
@@ -528,18 +549,32 @@ class TestFitBaseline:
         assert report.residual_count == 2 * 2 * 5
 
     def test_runaway_pair_is_pinned_and_not_converged(self):
-        # One pair's best start here ends at mu ~ -1.3e9 minutes, log sigma ~ -6,669.
+        # One pair's best start here ends at mu ~ -1.3e9 minutes, log sigma ~ -6,669;
+        # another's runs off to mu ~ -3e10 minutes and stops at the step budget.
         data = generate_synthetic(reference_model(), 7, 18, 0.1, seed=0)
         report = fit_baseline(data, FitConfig(multistart_count=2))
         assert not report.converged
-        assert len(report.warnings) == 1
+        assert len(report.warnings) == 2
         assert "('Marriage', 'Recently')" in report.warnings[0]
+        assert "ran out of range" in report.warnings[0]
+        assert "('Year Abroad', 'Some Time Ago')" in report.warnings[1]
+        assert "did not converge (mu -" in report.warnings[1]
         assert report.model.function_count == 24
         pair = report.model.pair("Marriage", "Recently")
         times = data.minutes[data.event_ids[data.event] == "Marriage"]
         assert pair.sigma_minutes == times.max() - times.min()
         assert times.min() <= pair.mu_minutes <= times.max()
         assert math.isfinite(report.final_cost)
+
+    def test_unconverged_winner_is_named(self):
+        # The winning start of one pair runs off to mu ~ -6e9 minutes, far before its times.
+        data = generate_synthetic(reference_model(), 7, 20, 0.3, seed=10)
+        report = fit_baseline(data)
+        assert not report.converged
+        assert len(report.warnings) == 1
+        assert report.warnings[0].startswith(
+            "pair ('Vacation', 'Some Time Ago'): best start did not converge (mu -"
+        )
 
     def test_out_of_range_winner_is_never_converged(self, tiny_truth, monkeypatch):
         # A winner whose width underflows, even one the optimizer calls converged.
@@ -720,15 +755,16 @@ class TestCellStatisticsExactness:
 )
 @settings(max_examples=30, deadline=None)
 def test_extreme_times_leak_no_numpy_warning(pairs):
-    # Pytest turns a leaked RuntimeWarning into an error.  A ValueError is the fit's own
-    # rejection: a pair with one distinct time, or a winner whose kernel width overflows.
+    # Pytest turns a leaked RuntimeWarning into an error.  The one ValueError is the
+    # factorized fit's own rejection of a pair with one distinct time.
     data = Dataset([
         _record(f"e{i // 2}", f"a{i % 2}", t, y) for i, rows in enumerate(pairs) for t, y in rows
     ])
     for fit in (fit_factorized, fit_baseline):
         try:
             report = fit(data)
-        except ValueError:
+        except ValueError as exc:
+            assert fit is fit_factorized and "distinct elapsed times" in str(exc), str(exc)
             continue
         assert isinstance(report, FitReport)
 
