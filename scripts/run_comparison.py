@@ -25,7 +25,7 @@ def main() -> None:
     parser.add_argument("--times", type=int, default=7, help="log-spaced times per event")
     parser.add_argument("--votes", type=int, default=100, help="votes per cell")
     parser.add_argument("--noise", type=float, default=0.1, help="rating noise SD")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=42, help="seed of the survey's rating noise")
     parser.add_argument("--multistarts", type=int, default=FitConfig.multistart_count)
     args = parser.parse_args()
 
@@ -34,7 +34,7 @@ def main() -> None:
     print(f"synthesized {len(data)} records "
           f"({args.times} times/event, {args.votes} votes/cell, noise {args.noise})")
 
-    config = FitConfig(multistart_count=args.multistarts, seed=args.seed)
+    config = FitConfig(multistart_count=args.multistarts)
     t0 = time.perf_counter()
     factorized = fit_factorized(data, config)
     t1 = time.perf_counter()

@@ -199,7 +199,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output model+report JSON path")
         p.add_argument("--max-iterations", type=int)
         p.add_argument("--multistarts", type=int, dest="multistart_count")
-        p.add_argument("--seed", type=int)
         p.add_argument(
             "--per-cell-means",
             action="store_true",

@@ -86,7 +86,7 @@ def _transpose(rows: list[tuple]) -> list[list]:
 
 
 class Dataset:
-    """Judgments stored as columns, one entry per vote, plus provenance metadata.
+    """Judgments stored as columns, one entry per vote.
 
     event, adverbial and unit index each vote's label in the sorted object
     arrays event_ids, adverbial_ids and unit_ids.  value is the elapsed time
@@ -94,22 +94,20 @@ class Dataset:
     str or None) complete the row.  .records rebuilds the rows.
     """
 
-    def __init__(self, records, source=None, seed=None):
+    def __init__(self, records):
         rows = [
             (r.event_id, r.adverbial_id, r.elapsed.value, r.elapsed.unit, r.rating, r.respondent_id)
             for r in records
         ]
-        self._fill(*_transpose(rows), source, seed)
+        self._fill(*_transpose(rows))
 
     @classmethod
-    def _from_columns(cls, *columns, **metadata) -> Dataset:
+    def _from_columns(cls, *columns) -> Dataset:
         data = cls.__new__(cls)
-        data._fill(*columns, **metadata)
+        data._fill(*columns)
         return data
 
-    def _fill(
-        self, events, adverbials, values, units, ratings, respondents, source=None, seed=None
-    ) -> None:
+    def _fill(self, events, adverbials, values, units, ratings, respondents) -> None:
         self.event_ids, self.event = _encode(events)
         self.adverbial_ids, self.adverbial = _encode(adverbials)
         self.unit_ids, self.unit = _encode(units)
@@ -117,7 +115,6 @@ class Dataset:
         self.minutes = self.value * np.array([UNIT_MINUTES[u] for u in self.unit_ids])[self.unit]
         self.rating = np.array(ratings, dtype=float)
         self.respondent = tuple(respondents)
-        self.source, self.seed = source, seed
 
     def __len__(self) -> int:
         return len(self.rating)
@@ -178,8 +175,7 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         ):
             _raise_first_bad_row(fh)
     return Dataset._from_columns(
-        events, adverbials, value, unit_ids[spelling], rating, [who or None for who in respondents],
-        source=str(path),
+        events, adverbials, value, unit_ids[spelling], rating, [who or None for who in respondents]
     )
 
 
@@ -297,6 +293,5 @@ def generate_synthetic(
     respondents = tuple(f"p{v:0{pad}d}" for v in range(votes_per_cell))
     columns = (np.repeat(np.array(c, dtype=object), votes_per_cell) for c in zip(*cells))
     return Dataset._from_columns(
-        *columns, ("minute",) * rating.size, rating, respondents * len(cells),
-        source="synthetic", seed=seed,
+        *columns, ("minute",) * rating.size, rating, respondents * len(cells)
     )

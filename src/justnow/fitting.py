@@ -7,9 +7,11 @@ one; the kernel fits of the baseline's pairs, and of both informed starts'
 adverbials, run as one batch per cell count over every group and start.
 Widths are optimized as log(sigma), and the joint fit rejects a log width
 whose exp is 0 or infinite; kernel means are unconstrained.  The lowest final
-cost over two informed starts and seeded perturbations wins.  Each problem
+cost over two informed starts and fixed perturbations wins.  Each problem
 gets at most FitConfig.max_iterations accepted steps, 100 by default: more
 than any winner on the benchmark's surveys needs, so runaways stop early.
+Perturbations come from a generator seeded with 0, so a fit depends only on
+its data and its FitConfig.
 
 Votes are reduced to per-cell statistics (count n, mean, within-cell sum of
 squares ss) sorted by (event, adverbial, minutes); both families fit
@@ -55,7 +57,7 @@ _COST_TOLERANCE, _PARAM_TOLERANCE = 1e-10, 1e-8  # when _levenberg_marquardt sto
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Step budget per start, start count and perturbation seed, for both model families.
+    """Step budget per start and start count, for both model families.
 
     max_iterations caps the accepted steps of every problem: each joint start,
     each informed-start kernel candidate and each baseline pair start.  A
@@ -64,15 +66,12 @@ class FitConfig:
 
     max_iterations: int = 100
     multistart_count: int = 8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.multistart_count < 1:
             raise ValueError(f"multistart_count must be >= 1, got {self.multistart_count}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def cell_means(data: Dataset) -> Dataset:
     event, adverbial, t, _, mean, *_ = _cells_from_dataset(data)
     return Dataset._from_columns(
         data.event_ids[event], data.adverbial_ids[adverbial], t, ("minute",) * t.size, mean,
-        (None,) * t.size, source=data.source, seed=data.seed,
+        (None,) * t.size
     )
 
 
@@ -430,8 +429,8 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
     each adverbial into an independent two-parameter Gaussian fit on (precedence,
     rating) points, solved from a deterministic candidate grid plus a
     rating-weighted moment guess; both starts' kernels run in one _fit_kernels
-    call.  The remaining starts are seeded perturbations of the first, so a
-    single start is the first informed one.
+    call.  The remaining starts are perturbations of the first, drawn from a
+    generator seeded with 0, so a single start is the first informed one.
     """
     event_votes = (np.repeat(problem.t[run], problem.n[run]) for run in _runs(problem.ev_idx))
     sigma0 = np.maximum([np.median(votes) for votes in event_votes], 1e-9)
@@ -460,17 +459,13 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
     finfo = np.finfo(float)
     kernels[:, 1::2] = np.clip(kernels[:, 1::2], math.log(finfo.tiny), math.log(finfo.max))
     starts = [np.concatenate([np.log(sigma_e), k]) for sigma_e, k in zip(widths, kernels)]
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.multistart_count - 2):
-        pert = starts[0].copy()
-        pert[: problem.n_events] += rng.uniform(
-            -math.log(10.0), math.log(10.0), problem.n_events
-        )
-        adv = pert[problem.n_events :].reshape(problem.n_adverbials, 2)
-        adv[:, 0] += rng.uniform(-0.25, 0.25, problem.n_adverbials)
-        adv[:, 1] += rng.uniform(-1.0, 1.0, problem.n_adverbials)
-        starts.append(pert)
-    return starts
+    # A row draws every log sigma_e step, then every mu_a step, then every log sigma_a
+    # step; theta_order interleaves each adverbial's two steps, as theta does.
+    ne, na = problem.n_events, problem.n_adverbials
+    h = np.repeat([math.log(10.0), 0.25, 1.0], [ne, na, na])
+    steps = np.random.default_rng(0).uniform(-h, h, (max(config.multistart_count - 2, 0), h.size))
+    theta_order = np.append(np.arange(ne), ne + np.arange(2 * na).reshape(2, na).T.ravel())
+    return starts + list(starts[0] + steps[:, theta_order])
 
 
 def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
@@ -507,26 +502,27 @@ def _pair_starts(t: np.ndarray, y: np.ndarray, n: np.ndarray, rng, count: int) -
     sigma0 = math.sqrt(var0) if var0 else span / 4.0
     sigma0 = max(sigma0, span * 1e-3, 1e-6)
     starts = np.tile([mu0, math.log(sigma0)], (count, 1))
-    for start in starts[1:]:
-        start += [rng.uniform(-1.0, 1.0) * span, rng.uniform(-1.5, 1.5)]
+    starts[1:] += rng.uniform([-1.0, -1.5], [1.0, 1.5], (count - 1, 2)) * [span, 1.0]
     return starts
 
 
 def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
-    """Independent per-pair Gaussian fits in raw minutes.
+    """Per-pair Gaussian fits in raw minutes.
 
-    Pairs with a single distinct elapsed time or zero rating variance leave
-    the width non-identifiable: mu is fixed at the rating-weighted mean time
-    (plain mean when all ratings are zero; the middle of the times if that
-    overflows), sigma falls back to the observed time span with a one-minute
-    floor, and the pair is reported in warnings.  A pair whose best start runs
-    out of the valid parameter range is pinned the same way; one whose best
-    start did not converge keeps its fit and is named in warnings.  Either
-    makes the fit not converged.  iterations is the sum of accepted steps
+    The pairs are not independent: one generator, seeded with 0, perturbs their
+    starts in (event, adverbial) order, so a pair's fit depends on how many
+    fitted pairs sort before it.  Pairs with a single distinct elapsed time or
+    zero rating variance leave the width non-identifiable: mu is fixed at the
+    rating-weighted mean time (plain mean when all ratings are zero; the middle
+    of the times if that overflows), sigma falls back to the observed time span
+    with a one-minute floor, and the pair is reported in warnings.  A pair whose
+    best start runs out of the valid parameter range is pinned the same way; one
+    whose best start did not converge keeps its fit and is named in warnings.
+    Either makes the fit not converged.  iterations is the sum of accepted steps
     across pairs.
     """
     event, adverbial, t, n, y, ss, lo, hi = _cells_from_dataset(data)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     pairs: list[PairParams] = []
     costs: list[float] = []
     warnings: list[str] = []

@@ -52,7 +52,7 @@ def clean_recovery(reference):
     """Zero-noise 7x100 grid refit, with wall time."""
     start = time.perf_counter()
     data = generate_synthetic(reference, 7, 100, 0.0, seed=42)
-    report = fit_factorized(data, FitConfig(seed=42))
+    report = fit_factorized(data, FitConfig())
     return report, time.perf_counter() - start
 
 
@@ -61,9 +61,9 @@ def noisy_bundle(reference):
     """Noise-0.1 7x100 grid with both families fitted; factorized wall time."""
     start = time.perf_counter()
     data = generate_synthetic(reference, 7, 100, 0.1, seed=42)
-    factorized = fit_factorized(data, FitConfig(seed=42))
+    factorized = fit_factorized(data, FitConfig())
     factorized_seconds = time.perf_counter() - start
-    baseline = fit_baseline(data, FitConfig(seed=42))
+    baseline = fit_baseline(data, FitConfig())
     return data, factorized, baseline, factorized_seconds
 
 
@@ -332,7 +332,7 @@ def _battery_determinism() -> bool:
     gen_b = generate_synthetic(truth, 5, 3, 0.1, seed=42)
     if gen_a.records != gen_b.records:
         return False
-    config = FitConfig(multistart_count=4, seed=42)
+    config = FitConfig(multistart_count=4)
     return (
         fit_factorized(gen_a, config) == fit_factorized(gen_b, config)
         and fit_baseline(gen_a, config) == fit_baseline(gen_b, config)

@@ -265,10 +265,10 @@ class TestFitFlags:
         monkeypatch.setattr(cli, fit, record)
         argv = [command, "--data", str(work["clean_csv"]), "--out", str(tmp_path / "o.json")]
         assert run(argv) == EXIT_OK
-        assert run(argv + ["--max-iterations", "7", "--multistarts", "3", "--seed", "5"]) == EXIT_OK
+        assert run(argv + ["--max-iterations", "7", "--multistarts", "3"]) == EXIT_OK
         assert run(argv + ["--per-cell-means"]) == EXIT_OK
         # 2 x 2 pairs x 5 times x 2 votes; --per-cell-means fits one vote per cell.
-        assert calls == [(40, FitConfig()), (40, FitConfig(7, 3, 5)), (20, FitConfig())]
+        assert calls == [(40, FitConfig()), (40, FitConfig(7, 3)), (20, FitConfig())]
 
 
 class TestSpecExampleEndToEnd:
@@ -536,9 +536,9 @@ class TestExitCodes:
         ]) == EXIT_USAGE
         assert run([
             "fit", "--data", str(work["noisy_csv"]), "--out", str(tmp_path / "flags.json"),
-            "--seed", "7", "--multistarts", "3", "--per-cell-means",
+            "--max-iterations", "7", "--multistarts", "3", "--per-cell-means",
         ]) == EXIT_OK
-        # synthesize shares the dest "seed" with fit; it must see its own default, 0.
+        # synthesize sees none of the fit's flags: its own defaults, seed 0 among them.
         synth_csv = tmp_path / "defaults.csv"
         assert run([
             "synthesize", "--truth", str(work["truth_path"]), "--out", str(synth_csv),
@@ -645,11 +645,12 @@ class TestExitCodes:
         assert run([subcommand, "--data", str(csv), "--out", str(tmp_path / "o.json")]) == code
 
     @pytest.mark.parametrize("subcommand", ["fit", "fit-baseline"])
-    def test_negative_seed_is_validation_error(self, work, tmp_path, capsys, subcommand):
+    def test_seed_is_usage_error(self, work, tmp_path, capsys, subcommand):
+        # Fits take no seed; only synthesize has --seed.
         out = tmp_path / "o.json"
-        argv = [subcommand, "--data", str(work["noisy_csv"]), "--out", str(out), "--seed", "-1"]
-        assert run(argv) == EXIT_VALIDATION
-        assert "seed must be >= 0" in capsys.readouterr().err
+        argv = [subcommand, "--data", str(work["noisy_csv"]), "--out", str(out), "--seed", "1"]
+        assert run(argv) == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unidentifiable_data_is_validation_error(self, tmp_path):

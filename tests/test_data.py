@@ -595,11 +595,6 @@ class TestGenerateSynthetic:
         assert "p00" in ids and "p11" in ids
         assert all(len(i) == 3 for i in ids)
 
-    def test_metadata(self, tiny_truth):
-        data = generate_synthetic(tiny_truth, 2, 2, 0.1, seed=5)
-        assert data.source == "synthetic"
-        assert data.seed == 5
-
     def test_validation(self, tiny_truth):
         with pytest.raises(ValueError):
             generate_synthetic(tiny_truth, 0, 2, 0.1, seed=0)

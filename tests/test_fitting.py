@@ -18,6 +18,7 @@ from justnow.fitting import (
     _factorized_starts,
     _fit_kernels,
     _levenberg_marquardt,
+    _pair_starts,
     _solve,
     fit_baseline,
     fit_factorized,
@@ -278,12 +279,10 @@ class TestFitConfig:
             FitConfig(max_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(multistart_count=0)
-        with pytest.raises(ValueError, match="seed"):
-            FitConfig(seed=-1)
 
     def test_fields(self):
         # The minimizer's tolerances are its constants, and per-cell means is a dataset.
-        assert [f.name for f in fields(FitConfig)] == ["max_iterations", "multistart_count", "seed"]
+        assert [f.name for f in fields(FitConfig)] == ["max_iterations", "multistart_count"]
 
     def test_default_budget(self):
         assert FitConfig().max_iterations == 100
@@ -356,14 +355,14 @@ class TestFitFactorized:
 
     def test_deterministic(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
-        config = FitConfig(multistart_count=4, seed=9)
+        config = FitConfig(multistart_count=4)
         assert fit_factorized(data, config) == fit_factorized(data, config)
 
     def test_record_order_invariant(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
         shuffled = list(data.records)
         random.Random(0).shuffle(shuffled)
-        config = FitConfig(multistart_count=4, seed=9)
+        config = FitConfig(multistart_count=4)
         a = fit_factorized(data, config)
         b = fit_factorized(Dataset(tuple(shuffled)), config)
         assert a == b
@@ -373,10 +372,10 @@ class TestFactorizedStarts:
     def test_order_is_informed_scaled_informed_perturbations(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
         problem = _FactorizedProblem(data)
-        config = FitConfig(multistart_count=4, seed=9)
+        config = FitConfig(multistart_count=4)
         starts = _factorized_starts(problem, config)
         for count in (1, 2, 3):
-            prefix = _factorized_starts(problem, FitConfig(multistart_count=count, seed=9))
+            prefix = _factorized_starts(problem, FitConfig(multistart_count=count))
             assert len(prefix) == count
             assert all(np.array_equal(a, b) for a, b in zip(prefix, starts))
         informed, scaled, *perturbations = starts
@@ -400,6 +399,21 @@ class TestFactorizedStarts:
             assert 0.0 < delta[:2].max() <= math.log(10.0)
             assert 0.0 < delta[2::2].max() <= 0.25
             assert 0.0 < delta[3::2].max() <= 1.0
+
+    def test_perturbations_are_the_sequential_draws_of_seed_0(self):
+        # The reference is one draw call per parameter block and perturbation, in
+        # this order; the batched draw must give the same starts to the bit.
+        data = generate_synthetic(reference_model(), 3, 1, 0.1, seed=0)
+        problem = _FactorizedProblem(data)
+        informed, _, *perturbations = _factorized_starts(problem, FitConfig(multistart_count=5))
+        rng = np.random.default_rng(0)
+        for start in perturbations:
+            expected = informed.copy()
+            expected[:6] += rng.uniform(-math.log(10.0), math.log(10.0), 6)
+            adverbials = expected[6:].reshape(4, 2)
+            adverbials[:, 0] += rng.uniform(-0.25, 0.25, 4)
+            adverbials[:, 1] += rng.uniform(-1.0, 1.0, 4)
+            assert start.tobytes() == expected.tobytes()
 
 
 class TestFactorizedBasins:
@@ -445,7 +459,7 @@ class TestFactorizedBasins:
             [EventParams("e0", 10.0)], [AdverbialParams("a0", 0.3125, 0.02)]
         )
         data = generate_synthetic(truth, 2, 1, 0.05, 224)
-        report = fit_factorized(data, FitConfig(max_iterations=100, multistart_count=1, seed=224))
+        report = fit_factorized(data, FitConfig(max_iterations=100, multistart_count=1))
         assert report.final_cost == 0.0
         assert 0.0 < report.model.adverbial("a0").sigma_a < math.inf
 
@@ -474,7 +488,7 @@ class TestFactorizedBasins:
             ],
         )
         data = generate_synthetic(truth, times, votes, noise, seed)
-        report = fit_factorized(data, FitConfig(multistart_count=multistarts, seed=seed))
+        report = fit_factorized(data, FitConfig(multistart_count=multistarts))
         assert isinstance(report, FitReport)
         assert math.isfinite(report.final_cost)
         assert report.parameter_count == n_events + 2 * n_adverbials
@@ -588,14 +602,23 @@ class TestFitBaseline:
 
     def test_deterministic(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
-        config = FitConfig(multistart_count=4, seed=9)
+        config = FitConfig(multistart_count=4)
         assert fit_baseline(data, config) == fit_baseline(data, config)
+
+    def test_pair_starts_are_sequential_draws(self):
+        # The reference is two scalar draws per perturbed start, mean step first.
+        t, y, n = np.array([1.0, 5.0, 30.0]), np.array([0.2, 0.9, 0.4]), np.array([1, 2, 1])
+        starts = _pair_starts(t, y, n, np.random.default_rng(0), 4)
+        rng = np.random.default_rng(0)
+        for start in starts[1:]:
+            expected = starts[0] + [rng.uniform(-1.0, 1.0) * 29.0, rng.uniform(-1.5, 1.5)]
+            assert start.tobytes() == expected.tobytes()
 
     def test_record_order_invariant(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
         shuffled = list(data.records)
         random.Random(1).shuffle(shuffled)
-        config = FitConfig(multistart_count=4, seed=9)
+        config = FitConfig(multistart_count=4)
         assert fit_baseline(data, config) == fit_baseline(Dataset(tuple(shuffled)), config)
 
 
