@@ -7,7 +7,7 @@ For each workload and seed, BENCHMARK.json's command runs once untraced
 (--trace 0), which gives the end-to-end metrics, and once traced (--trace 1),
 which gives the per-layer ones.  Every metric gets the median, first and third
 quartiles (numpy's linear interpolation), the number of runs and its unit.  The
-file also records the core count and the Python, numpy and scipy versions.  A
+file also records the core count and the Python and numpy versions.  A
 run that exits non-zero, is not correct or has a failed operation stops the
 script with exit 1, and no file is written.
 """
@@ -66,7 +66,6 @@ def main() -> None:
         "cores": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": metadata.version("numpy"),
-        "scipy": metadata.version("scipy"),
         "workloads": {},
     }
     for workload in workloads:

@@ -35,7 +35,6 @@ from .model import (
     FactorizedModel,
     PairGaussianModel,
     PairParams,
-    _composite_terms,
     _gaussian,
     _kernel_terms,
     _lookup,
@@ -97,23 +96,24 @@ class FitReport:
 
 
 @np.errstate(all="ignore")
-def _jacobian(t, ev_idx, ad_idx, weight, sigma_e, mu_a, sigma_a, n_rows) -> np.ndarray:
+def _jacobian(t, ev_idx, point, ad_idx, weight, sigma_e, mu_a, sigma_a, n_rows) -> np.ndarray:
     """Weighted partials of the composite value w.r.t. (log sigma_e, mu_a, log sigma_a).
 
-    Row i is observation i at t[i] (rows past t.size stay zero).  Columns
-    are the events in index order, then each adverbial's (mu_a, log sigma_a).
+    Row i is observation i, at point point[i] of (t, ev_idx), where the precedence
+    terms are evaluated once each (rows past point.size stay zero).  Columns are the
+    events in index order, then each adverbial's (mu_a, log sigma_a).
     With x = Phi(u), u = t/sigma_e and z = (x - mu_a)/sigma_a:
         d/d log sigma_e = z * k * u * phi(u) / sigma_a
         d/d mu_a        = z * k / sigma_a
         d/d log sigma_a = z^2 * k
     """
     se, sa = sigma_e[ev_idx], sigma_a[ad_idx]
-    z, k = _composite_terms(t, se, mu_a[ad_idx], sa)
-    jac = np.zeros((n_rows, sigma_e.size + 2 * sigma_a.size))
-    rows = np.arange(t.size)
     u = t / se
-    phi = _INV_SQRT_2PI * _gaussian(u)
-    jac[rows, ev_idx] = weight * (z * k * u * phi / sa)
+    x, u, phi = _precedence(t, se)[point], u[point], (_INV_SQRT_2PI * _gaussian(u))[point]
+    z, k = _kernel_terms(x, mu_a[ad_idx], sa)
+    jac = np.zeros((n_rows, sigma_e.size + 2 * sigma_a.size))
+    rows = np.arange(point.size)
+    jac[rows, ev_idx[point]] = weight * (z * k * u * phi / sa)
     jac[rows, sigma_e.size + 2 * ad_idx] = weight * (z * k / sa)
     jac[rows, sigma_e.size + 2 * ad_idx + 1] = weight * (z * z * k)
     return jac
@@ -187,7 +187,8 @@ def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
     ad_idx = np.array(ad_idx, dtype=int)[data.adverbial]
     sigma_e = np.array([model.events[eid].sigma_e for eid in event_ids])
     return _jacobian(
-        data.minutes, ev_idx, ad_idx, 1.0, sigma_e, *model._kernel_params(adverbial_ids), len(data),
+        data.minutes, ev_idx, np.arange(len(data)), ad_idx, 1.0, sigma_e,
+        *model._kernel_params(adverbial_ids), len(data),
     )
 
 
@@ -352,11 +353,16 @@ def _fit_kernels(groups, starts, max_iterations: int) -> list[tuple]:
 class _FactorizedProblem:
     """Vectorized per-vote objective over cell statistics; the last residual is constant.
 
-    residuals and jacobian take a batch of one problem and ignore rows.
+    Precedence is evaluated once per distinct (event, time) point (point_ev, point_t)
+    and gathered to the cells by point.  residuals and jacobian take a batch of one
+    problem and ignore rows.
     """
 
     def __init__(self, data: Dataset):
         self.ev_idx, self.ad_idx, self.t, self.n, self.y, self.ss, _, _ = _cells_from_dataset(data)
+        cells = np.column_stack([self.ev_idx, self.t])  # precedence depends on nothing else
+        points, self.point = np.unique(cells, axis=0, return_inverse=True)
+        self.point_ev, self.point_t = points[:, 0].astype(int), points[:, 1]
         self.event_ids, self.adverbial_ids = data.event_ids, data.adverbial_ids
         self.weight = np.sqrt(self.n)
         self.r_template = np.append(np.zeros_like(self.t), math.sqrt(self.ss.sum()))
@@ -380,23 +386,27 @@ class _FactorizedProblem:
             sigma_a = np.exp(adv[:, 1])
         return sigma_e, mu_a, sigma_a
 
+    @np.errstate(all="ignore")
     def residuals(self, theta: np.ndarray, rows=None) -> np.ndarray:
         sigma_e, mu_a, sigma_a = self.split_theta(theta[0])
         widths = np.concatenate([sigma_e, sigma_a])
         if widths.min() == 0.0 or widths.max() == math.inf:  # exp over- or underflowed: no model
             return np.full((1, self.r_template.size), math.nan)  # LM rejects non-finite costs
-        _, k = _composite_terms(
-            self.t, sigma_e[self.ev_idx], mu_a[self.ad_idx], sigma_a[self.ad_idx]
-        )
+        _, k = _kernel_terms(self.precedence(sigma_e), mu_a[self.ad_idx], sigma_a[self.ad_idx])
         r = self.r_template.copy()
         r[:-1] = self.weight * (k - self.y)
         return r[None]
 
     def jacobian(self, theta: np.ndarray, rows=None) -> np.ndarray:
         return _jacobian(
-            self.t, self.ev_idx, self.ad_idx, self.weight, *self.split_theta(theta[0]),
-            self.t.size + 1,
+            self.point_t, self.point_ev, self.point, self.ad_idx, self.weight,
+            *self.split_theta(theta[0]), self.t.size + 1,
         )[None]
+
+    @np.errstate(over="ignore")  # t / sigma_e may overflow to inf
+    def precedence(self, sigma_e: np.ndarray) -> np.ndarray:
+        """Each cell's precedence under event widths sigma_e."""
+        return _precedence(self.point_t, sigma_e[self.point_ev])[self.point]
 
     def model_from_theta(self, theta: np.ndarray) -> FactorizedModel:
         sigma_e, mu_a, sigma_a = self.split_theta(theta)
@@ -442,7 +452,7 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
     ]
     groups, kernel_starts = [], []
     for sigma_e in widths:
-        x0 = _precedence(problem.t, sigma_e[problem.ev_idx])
+        x0 = problem.precedence(sigma_e)
         for j in range(problem.n_adverbials):
             mask = problem.ad_idx == j
             xs, ys, ns = x0[mask], problem.y[mask], problem.n[mask]

@@ -11,9 +11,10 @@ the adverbial applies to the event at a given elapsed time.
 The non-factorized baseline skips the shared precedence axis and assigns
 one Gaussian kernel in raw minutes to every (event, adverbial) pair.
 
-Both curves are evaluated by one vectorized kernel (numpy, with
-``scipy.special.erf`` mirrored for exact odd symmetry).  The models'
-``predict`` methods, the scalar functions below and the optimizer in
+Both curves are evaluated by one vectorized kernel: numpy, with the
+standard library's ``math.erf`` (the C library's erf) applied element by
+element and mirrored for exact odd symmetry.  The models' ``predict``
+methods, the scalar functions below and the optimizer in
 :mod:`justnow.fitting` all call it, so they agree bit for bit.
 """
 
@@ -25,7 +26,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "UNIT_MINUTES",
@@ -161,8 +161,9 @@ class AdverbialParams:
 
 
 def _odd_erf(v):
-    """erf evaluated on |v| and mirrored with copysign, so erf(-v) == -erf(v) bit for bit."""
-    return np.copysign(_erf(np.abs(v)), v)
+    """math.erf of each |v| mirrored with copysign, so erf(-v) == -erf(v) bit for bit."""
+    a = np.abs(v)
+    return np.copysign(np.fromiter(map(math.erf, a.ravel().tolist()), float).reshape(a.shape), v)
 
 
 def _precedence(t, sigma_e):

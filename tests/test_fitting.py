@@ -368,6 +368,25 @@ class TestFitFactorized:
         assert a == b
 
 
+class TestFactorizedProblem:
+    def test_rows_are_the_per_vote_references_with_one_vote_per_cell(self):
+        # One vote per cell gives each cell unit weight and no within-cell sum of
+        # squares, so the rows are the per-vote ones in (event, adverbial, minutes)
+        # order, although precedence is evaluated once per (event, time) point.
+        records = list(generate_synthetic(reference_model(), 7, 1, 0.1, seed=3).records)
+        random.Random(0).shuffle(records)
+        data = Dataset(tuple(records))
+        problem = _FactorizedProblem(data)
+        assert problem.point_t.size == 6 * 7 < problem.t.size == 6 * 4 * 7
+        theta = _theta_layout(reference_model())[0] + np.resize([0.3, -0.04, 0.2], 14)
+        model = problem.model_from_theta(theta)
+        order = np.lexsort((data.minutes, data.adverbial, data.event))
+        r, jac = problem.residuals(theta[None])[0], problem.jacobian(theta[None])[0]
+        assert r[:-1].tobytes() == residuals_factorized(model, data)[order].tobytes()
+        assert jac[:-1].tobytes() == jacobian_factorized(model, data)[order].tobytes()
+        assert r[-1] == 0.0 and not jac[-1].any()
+
+
 class TestFactorizedStarts:
     def test_order_is_informed_scaled_informed_perturbations(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)

@@ -7,6 +7,7 @@ digits and frozen here; the acceptance suite recomputes a subset at runtime.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from justnow.model import (
     PairParams,
     UnknownIdError,
     UnknownUnitError,
+    _odd_erf,
     adverbial_applicability,
     baseline_probability,
     best_adverbial,
@@ -100,6 +102,36 @@ class TestErf:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(DomainError):
             erf(bad)
+
+
+class TestOddErf:
+    """The kernel's erf, which also takes the non-finite values that erf rejects."""
+
+    GRID = np.concatenate([np.linspace(0.0, 6.0, 3001), np.logspace(-300, -1, 600)])
+
+    def test_within_one_ulp_of_mpmath(self):
+        from mpmath import erf as mp_erf, mp, mpf
+
+        with mp.workdps(50):
+            for x, value in zip(self.GRID.tolist(), _odd_erf(self.GRID).tolist()):
+                exact = mp_erf(mpf(x))
+                assert abs(mpf(value) - exact) <= math.ulp(float(exact)), x
+
+    def test_odd_bit_for_bit_in_any_shape(self):
+        grid = self.GRID.reshape(-1, 1)
+        assert _odd_erf(-grid).tobytes() == (-_odd_erf(grid)).tobytes()
+        assert _odd_erf(grid).shape == grid.shape
+
+    @pytest.mark.parametrize(
+        "x, expected", [(0.0, 0.0), (5e-324, 5e-324), (1e300, 1.0), (math.inf, 1.0)]
+    )
+    def test_edge_values(self, x, expected):
+        for sign in (1.0, -1.0):
+            value = _odd_erf(sign * x)
+            assert value == sign * expected and math.copysign(1.0, value) == sign
+
+    def test_nan(self):
+        assert math.isnan(_odd_erf(math.nan))
 
 
 class TestEventPrecedence:

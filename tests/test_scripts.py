@@ -43,7 +43,7 @@ def test_bench_writes_medians_and_quartiles(repo_root, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     doc = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert set(doc) == {"command", "seconds", "seeds", "cores", "python", "numpy", "scipy", "workloads"}
+    assert set(doc) == {"command", "seconds", "seeds", "cores", "python", "numpy", "workloads"}
     assert doc["seeds"] == [1] and doc["seconds"] == 1.0
     spec = json.loads((repo_root / "BENCHMARK.json").read_text())
     metrics = doc["workloads"]["model-queries"]
