@@ -169,18 +169,20 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
         files[name] = pair
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grids = {
-        event_id: np.geomspace(event.sigma_e / 100.0, 100.0 * event.sigma_e, args.points)
-        for event_id, event in model.events.items()
-    }
-    for name, (event_id, adverbial_id) in files.items():
-        grid = grids[event_id]
-        probabilities = model.predict([event_id], [adverbial_id], grid)
+    names = {pair: name for name, pair in files.items()}
+    adverbial_ids = sorted(model.adverbials)
+    for event_id, event in sorted(model.events.items()):
+        grid = np.geomspace(event.sigma_e / 100.0, 100.0 * event.sigma_e, args.points)
+        # One call per event: the grid as a column evaluates each precedence once.
+        curves = model.predict([event_id], adverbial_ids, grid[:, None]).T.tolist()
         # repr round-trips doubles exactly, so parsed curves match the model.
-        lines = ["t_minutes\tprobability"] + [
-            f"{t!r}\t{p!r}" for t, p in zip(grid.tolist(), probabilities.tolist())
-        ]
-        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        times = [repr(t) for t in grid.tolist()]
+        for adverbial_id, probabilities in zip(adverbial_ids, curves):
+            lines = ["t_minutes\tprobability"] + [
+                f"{t}\t{p!r}" for t, p in zip(times, probabilities)
+            ]
+            text = "\n".join(lines) + "\n"
+            (out_dir / names[event_id, adverbial_id]).write_text(text, encoding="utf-8")
     print(f"wrote {len(files)} curve files to {out_dir}")
     return EXIT_OK
 

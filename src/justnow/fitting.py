@@ -2,12 +2,14 @@
 
 One minimizer serves every fit: a damped Gauss-Newton loop (Levenberg-Marquardt
 with Marquardt diagonal scaling) over a batch of independent problems, with
-analytic residuals and Jacobians.  The joint fit runs each start as a batch of
-one; the kernel fits of the baseline's pairs, and of both informed starts'
-adverbials, run as one batch per cell count over every group and start.
-Widths are optimized as log(sigma), and the joint fit rejects a log width
-whose exp is 0 or infinite; kernel means are unconstrained.  The lowest final
-cost over two informed starts and fixed perturbations wins.  Each problem
+analytic residuals and normal equations.  The joint fit runs all its starts as
+one batch, and sums its normal equations from the three nonzero partials of
+each residual, never building the Jacobian; the kernel fits of the baseline's
+pairs, and of both informed starts' adverbials, run as one batch per cell
+count over every group and start.  Widths are optimized as log(sigma), and the
+joint fit rejects a log width whose exp is 0 or infinite; kernel means are
+unconstrained.  The lowest final cost over two informed starts and fixed
+perturbations wins, the earliest start on ties.  Each problem
 gets at most FitConfig.max_iterations accepted steps, 100 by default: more
 than any winner on the benchmark's surveys needs, so runaways stop early.
 Perturbations come from a generator seeded with 0, so a fit depends only on
@@ -96,12 +98,11 @@ class FitReport:
 
 
 @np.errstate(all="ignore")
-def _jacobian(t, ev_idx, point, ad_idx, weight, sigma_e, mu_a, sigma_a, n_rows) -> np.ndarray:
-    """Weighted partials of the composite value w.r.t. (log sigma_e, mu_a, log sigma_a).
+def _jacobian(t, ev_idx, ad_idx, sigma_e, mu_a, sigma_a) -> np.ndarray:
+    """Partials of the composite value w.r.t. (log sigma_e, mu_a, log sigma_a), one row each.
 
-    Row i is observation i, at point point[i] of (t, ev_idx), where the precedence
-    terms are evaluated once each (rows past point.size stay zero).  Columns are the
-    events in index order, then each adverbial's (mu_a, log sigma_a).
+    Row i is observation i.  Columns are the events in index order, then each
+    adverbial's (mu_a, log sigma_a).  Each row has three nonzeros.
     With x = Phi(u), u = t/sigma_e and z = (x - mu_a)/sigma_a:
         d/d log sigma_e = z * k * u * phi(u) / sigma_a
         d/d mu_a        = z * k / sigma_a
@@ -109,13 +110,12 @@ def _jacobian(t, ev_idx, point, ad_idx, weight, sigma_e, mu_a, sigma_a, n_rows) 
     """
     se, sa = sigma_e[ev_idx], sigma_a[ad_idx]
     u = t / se
-    x, u, phi = _precedence(t, se)[point], u[point], (_INV_SQRT_2PI * _gaussian(u))[point]
-    z, k = _kernel_terms(x, mu_a[ad_idx], sa)
-    jac = np.zeros((n_rows, sigma_e.size + 2 * sigma_a.size))
-    rows = np.arange(point.size)
-    jac[rows, ev_idx[point]] = weight * (z * k * u * phi / sa)
-    jac[rows, sigma_e.size + 2 * ad_idx] = weight * (z * k / sa)
-    jac[rows, sigma_e.size + 2 * ad_idx + 1] = weight * (z * z * k)
+    z, k = _kernel_terms(_precedence(t, se), mu_a[ad_idx], sa)
+    jac = np.zeros((t.size, sigma_e.size + 2 * sigma_a.size))
+    rows = np.arange(t.size)
+    jac[rows, ev_idx] = z * k * u * (_INV_SQRT_2PI * _gaussian(u)) / sa
+    jac[rows, sigma_e.size + 2 * ad_idx] = z * k / sa
+    jac[rows, sigma_e.size + 2 * ad_idx + 1] = z * z * k
     return jac
 
 
@@ -186,10 +186,7 @@ def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
     ev_idx = np.array(ev_idx, dtype=int)[data.event]
     ad_idx = np.array(ad_idx, dtype=int)[data.adverbial]
     sigma_e = np.array([model.events[eid].sigma_e for eid in event_ids])
-    return _jacobian(
-        data.minutes, ev_idx, np.arange(len(data)), ad_idx, 1.0, sigma_e,
-        *model._kernel_params(adverbial_ids), len(data),
-    )
+    return _jacobian(data.minutes, ev_idx, ad_idx, sigma_e, *model._kernel_params(adverbial_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +209,21 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # norms and costs of runaway points may overflow to inf
-def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, max_iterations: int):
+def _levenberg_marquardt(residual_fn, normal_fn, theta0, max_iterations: int):
     """Damped Gauss-Newton with Marquardt scaling over a batch of independent problems.
 
-    theta0 is (G, p); residual_fn(theta, rows) and jacobian_fn(theta, rows) map
-    the parameters (k, p) of problems rows to residuals (k, m) and Jacobians
-    (k, m, p).  Returns each problem's theta, cost, iterations (accepted steps)
+    theta0 is (G, p); residual_fn(theta, rows) maps the parameters (k, p) of
+    problems rows to residuals r (k, m), and normal_fn(theta, rows, r) to the
+    normal equations' JᵀJ (k, p, p) and Jᵀr (k, p), so the loop never holds a
+    Jacobian.  Returns each problem's theta, cost, iterations (accepted steps)
     and converged flag.  Each pass tries one damped step per running problem,
-    which keeps its own damping, Jacobian and termination, so it takes the same
-    steps in any batch as alone.  A step is accepted only if it strictly lowers
-    the cost.  Termination: relative cost decrease below _COST_TOLERANCE, step
-    norm below _PARAM_TOLERANCE (scaled by the parameter norm), exact zero cost,
-    or no downhill step at any damping (a stationary point).  Taking
-    max_iterations steps without one of those, or a non-finite start or starting
-    cost, leaves converged False.
+    which keeps its own damping, normal equations and termination, so it takes
+    the same steps in any batch as alone.  A step is accepted only if it
+    strictly lowers the cost.  Termination: relative cost decrease below
+    _COST_TOLERANCE, step norm below _PARAM_TOLERANCE (scaled by the parameter
+    norm), exact zero cost, or no downhill step at any damping (a stationary
+    point).  Taking max_iterations steps without one of those, or a non-finite
+    start or starting cost, leaves converged False.
     """
     theta = np.array(theta0, dtype=float)
     count, n_params = theta.shape
@@ -234,8 +232,8 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, max_iterations: int):
     cost[~(np.isfinite(cost) & np.isfinite(theta).all(axis=1))] = math.inf  # never stepped from
     result = (theta.copy(), cost.copy(), np.zeros(count, dtype=int), cost == 0.0)
     # State of the running problems only, compacted as they finish; live maps
-    # them to the batch.  Jacobians are recomputed only after a step, and
-    # recomputing one at an unchanged theta gives the same values.
+    # them to the batch.  Normal equations are recomputed only after a step, and
+    # recomputing them at an unchanged theta gives the same values.
     live = np.flatnonzero((cost > 0.0) & (cost < math.inf))
     theta, r, cost = theta[live], r[live], cost[live]
     lam = np.full(live.size, 1e-3)
@@ -244,10 +242,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, max_iterations: int):
     diagonal = np.arange(n_params)
     while live.size:
         if moved.any():
-            jac = jacobian_fn(theta, live)
-            hess = jac.swapaxes(1, 2) @ jac
-            grad = (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
-            del jac  # the next Jacobian is built without this one alive
+            hess, grad = normal_fn(theta, live, r)
             d = hess[:, diagonal, diagonal]
             damping = np.zeros_like(hess)
             damping[:, diagonal, diagonal] = np.where(d <= 0.0, 1.0, d)  # flat column: unit scale
@@ -273,7 +268,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, max_iterations: int):
                 | (rel_decrease < _COST_TOLERANCE)
                 | (step_norm <= _PARAM_TOLERANCE * (theta_norm + _PARAM_TOLERANCE))
             )
-        del r_trial  # the next residuals and Jacobian are built without these alive
+        del r_trial  # the next residuals and normal equations are built without these alive
         done = converged | (iterations >= max_iterations)
         if done.any():
             for out, state in zip(result, (theta, cost, iterations, converged)):
@@ -290,7 +285,7 @@ def _levenberg_marquardt(residual_fn, jacobian_fn, theta0, max_iterations: int):
 
 
 def _kernel_fns(groups, counts):
-    """Batched residuals and Jacobians of kernels exp(-z^2 / 2), z = (x - mu) / sigma.
+    """Batched residuals and normal equations of kernels exp(-z^2 / 2), z = (x - mu) / sigma.
 
     Each group is its cells' positions x, mean ratings y and vote counts n, and
     their summed within-cell sum of squares ss; all have the same cell count.
@@ -308,7 +303,7 @@ def _kernel_fns(groups, counts):
         return np.column_stack([weight[g] * (k - y[g]), root_ss[g]])
 
     @np.errstate(all="ignore")
-    def jacobian(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def normal(theta: np.ndarray, rows: np.ndarray, r: np.ndarray):
         g = group_of[rows]
         sigma = np.exp(theta[:, 1:])
         # In place: a batch holds every group and start, so each (problems, cells)
@@ -320,9 +315,9 @@ def _kernel_fns(groups, counts):
         jac[:, :-1, 0] /= sigma
         z *= z
         np.multiply(z, wk, out=jac[:, :-1, 1])
-        return jac
+        return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
 
-    return residuals, jacobian
+    return residuals, normal
 
 
 def _fit_kernels(groups, starts, max_iterations: int) -> list[tuple]:
@@ -351,11 +346,13 @@ def _fit_kernels(groups, starts, max_iterations: int) -> list[tuple]:
 
 
 class _FactorizedProblem:
-    """Vectorized per-vote objective over cell statistics; the last residual is constant.
+    """Vectorized per-vote objective over cell statistics, for a batch of starts.
 
-    Precedence is evaluated once per distinct (event, time) point (point_ev, point_t)
-    and gathered to the cells by point.  residuals and jacobian take a batch of one
-    problem and ignore rows.
+    residuals and normal take theta of shape (k, p) for any k; every start
+    shares the cells, so rows only sizes the batch.  The last residual is
+    constant.  Precedence is evaluated once per distinct (event, time) point
+    (point_ev, point_t) and gathered to the cells by point.  normal sums the
+    normal equations from each cell's three partials, so memory is O(k * cells).
     """
 
     def __init__(self, data: Dataset):
@@ -365,48 +362,95 @@ class _FactorizedProblem:
         self.point_ev, self.point_t = points[:, 0].astype(int), points[:, 1]
         self.event_ids, self.adverbial_ids = data.event_ids, data.adverbial_ids
         self.weight = np.sqrt(self.n)
-        self.r_template = np.append(np.zeros_like(self.t), math.sqrt(self.ss.sum()))
+        self.root_ss = math.sqrt(self.ss.sum())
         self.n_residuals = int(self.n.sum())
         self.n_events = len(self.event_ids)
         self.n_adverbials = len(self.adverbial_ids)
         self.n_params = self.n_events + 2 * self.n_adverbials
-        for pair in _runs(self.ev_idx, self.ad_idx):
-            if len(pair) < 2:
-                raise ValueError(
-                    f"pair ({self.event_ids[self.ev_idx[pair[0]]]!r}, "
-                    f"{self.adverbial_ids[self.ad_idx[pair[0]]]!r}) has fewer than 2 distinct "
-                    "elapsed times; the fit is not identifiable"
-                )
+        # Cells are sorted by (event, adverbial, time): events and pairs are runs of
+        # cells, and by_adverbial sorts the cells into runs of adverbials.
+        self.pair_starts = _run_starts(self.ev_idx, self.ad_idx)
+        short = np.flatnonzero(np.diff(self.pair_starts, append=self.t.size) < 2)
+        if short.size:
+            cell = self.pair_starts[short[0]]
+            raise ValueError(
+                f"pair ({self.event_ids[self.ev_idx[cell]]!r}, "
+                f"{self.adverbial_ids[self.ad_idx[cell]]!r}) has fewer than 2 distinct "
+                "elapsed times; the fit is not identifiable"
+            )
+        self.event_starts = _run_starts(self.ev_idx)
+        self.by_adverbial = np.argsort(self.ad_idx, kind="stable")
+        self.adverbial_starts = _run_starts(self.ad_idx[self.by_adverbial])
+        # Where normal's sums land in a flattened JᵀJ, as (row, column): each event's
+        # diagonal entry, each pair's (log sigma_e, mu_a) and (log sigma_e, log sigma_a)
+        # entries, then each adverbial's (mu_a, mu_a), (mu_a, log sigma_a) and
+        # (log sigma_a, log sigma_a) entries.
+        events = np.arange(self.n_events)
+        mu = self.n_events + 2 * np.arange(self.n_adverbials)
+        pair_ev = self.ev_idx[self.pair_starts]
+        pair_mu = self.n_events + 2 * self.ad_idx[self.pair_starts]
+        row = np.concatenate([events, pair_ev, pair_ev, mu, mu, mu + 1])
+        column = np.concatenate([events, pair_mu, pair_mu + 1, mu, mu + 1, mu + 1])
+        self.upper, self.lower = row * self.n_params + column, column * self.n_params + row
 
     def split_theta(self, theta: np.ndarray):
+        """(sigma_e, mu_a, sigma_a) of theta (..., p)."""
         with np.errstate(over="ignore", under="ignore"):
-            sigma_e = np.exp(theta[: self.n_events])
-            adv = theta[self.n_events :].reshape(self.n_adverbials, 2)
-            mu_a = adv[:, 0]
-            sigma_a = np.exp(adv[:, 1])
+            sigma_e = np.exp(theta[..., : self.n_events])
+            mu_a = theta[..., self.n_events :: 2]
+            sigma_a = np.exp(theta[..., self.n_events + 1 :: 2])
         return sigma_e, mu_a, sigma_a
 
     @np.errstate(all="ignore")
-    def residuals(self, theta: np.ndarray, rows=None) -> np.ndarray:
-        sigma_e, mu_a, sigma_a = self.split_theta(theta[0])
-        widths = np.concatenate([sigma_e, sigma_a])
-        if widths.min() == 0.0 or widths.max() == math.inf:  # exp over- or underflowed: no model
-            return np.full((1, self.r_template.size), math.nan)  # LM rejects non-finite costs
-        _, k = _kernel_terms(self.precedence(sigma_e), mu_a[self.ad_idx], sigma_a[self.ad_idx])
-        r = self.r_template.copy()
-        r[:-1] = self.weight * (k - self.y)
-        return r[None]
+    def residuals(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        sigma_e, mu_a, sigma_a = self.split_theta(theta)
+        sa = sigma_a.take(self.ad_idx, axis=1)
+        _, k = _kernel_terms(self.precedence(sigma_e), mu_a.take(self.ad_idx, axis=1), sa)
+        r = np.empty((len(theta), self.t.size + 1))
+        np.multiply(self.weight, k - self.y, out=r[:, :-1])
+        r[:, -1] = self.root_ss
+        # A width whose exp over- or underflowed has no model; LM rejects non-finite costs.
+        widths = np.concatenate([sigma_e, sigma_a], axis=1)
+        r[(widths.min(axis=1) == 0.0) | (widths.max(axis=1) == math.inf)] = math.nan
+        return r
 
-    def jacobian(self, theta: np.ndarray, rows=None) -> np.ndarray:
-        return _jacobian(
-            self.point_t, self.point_ev, self.point, self.ad_idx, self.weight,
-            *self.split_theta(theta[0]), self.t.size + 1,
-        )[None]
+    @np.errstate(all="ignore")
+    def normal(self, theta: np.ndarray, rows: np.ndarray, r: np.ndarray):
+        """JᵀJ (k, p, p) and Jᵀr (k, p) at theta (k, p), where r is residuals(theta, rows).
+
+        A cell's row of J is _jacobian's three partials times sqrt(n): a for its
+        event's log sigma_e, b and c for its adverbial's mu_a and log sigma_a.
+        a*a and a*r are summed over each event's cells, a*b and a*c over each
+        pair's, and b*b, b*c, c*c, b*r and c*r over each adverbial's.  A pair
+        missing from the data adds nothing.
+        """
+        sigma_e, mu_a, sigma_a = self.split_theta(theta)
+        u = self.point_t / sigma_e.take(self.point_ev, axis=1)
+        u_phi = (u * (_INV_SQRT_2PI * _gaussian(u))).take(self.point, axis=1)
+        sa = sigma_a.take(self.ad_idx, axis=1)
+        z, k = _kernel_terms(self.precedence(sigma_e), mu_a.take(self.ad_idx, axis=1), sa)
+        zk = z * k
+        b = self.weight * (zk / sa)
+        a, c = b * u_phi, self.weight * (zk * z)
+        r = r[:, :-1]  # the constant residual's row of J is zero
+        # Each product is summed on its own: stacking (k, cells) arrays costs more than it saves.
+        aa, ar = (np.add.reduceat(v, self.event_starts, axis=1) for v in (a * a, a * r))
+        ab, ac = (np.add.reduceat(v, self.pair_starts, axis=1) for v in (a * b, a * c))
+        b, c, r = (v.take(self.by_adverbial, axis=1) for v in (b, c, r))
+        bb, bc, cc, br, cr = (
+            np.add.reduceat(v, self.adverbial_starts, axis=1)
+            for v in (b * b, b * c, c * c, b * r, c * r)
+        )
+        hess = np.zeros((len(theta), self.n_params**2))
+        hess[:, self.upper] = hess[:, self.lower] = np.concatenate([aa, ab, ac, bb, bc, cc], 1)
+        grad = np.concatenate([ar, np.stack([br, cr], axis=2).reshape(len(theta), -1)], 1)
+        return hess.reshape(-1, self.n_params, self.n_params), grad
 
     @np.errstate(over="ignore")  # t / sigma_e may overflow to inf
     def precedence(self, sigma_e: np.ndarray) -> np.ndarray:
-        """Each cell's precedence under event widths sigma_e."""
-        return _precedence(self.point_t, sigma_e[self.point_ev])[self.point]
+        """Each cell's precedence under event widths sigma_e (..., E)."""
+        x = _precedence(self.point_t, sigma_e.take(self.point_ev, axis=-1))
+        return x.take(self.point, axis=-1)
 
     def model_from_theta(self, theta: np.ndarray) -> FactorizedModel:
         sigma_e, mu_a, sigma_a = self.split_theta(theta)
@@ -487,16 +531,16 @@ def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     max_iterations is returned with converged False rather than raised.
     """
     problem = _FactorizedProblem(data)
-    runs = [
-        _levenberg_marquardt(problem.residuals, problem.jacobian, x0[None], config.max_iterations)
-        for x0 in _factorized_starts(problem, config)
-    ]
-    theta, cost, iterations, converged = min(runs, key=lambda run: run[1][0])  # earliest on ties
+    starts = _factorized_starts(problem, config)
+    theta, cost, iterations, converged = _levenberg_marquardt(
+        problem.residuals, problem.normal, starts, config.max_iterations
+    )
+    best = int(np.argmin(cost))  # the earliest start on ties
     return FitReport(
-        model=problem.model_from_theta(theta[0]),
-        final_cost=float(cost[0]),
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
+        model=problem.model_from_theta(theta[best]),
+        final_cost=float(cost[best]),
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
         residual_count=problem.n_residuals,
         parameter_count=problem.n_params,
     )

@@ -465,6 +465,35 @@ class TestPlotData:
             assert ts[0] == pytest.approx(sigma / 100.0, rel=1e-12)
             assert ts[-1] == pytest.approx(sigma * 100.0, rel=1e-12)
 
+    @pytest.mark.parametrize("points", [200, 2])
+    def test_files_are_the_per_curve_predictions_byte_for_byte(self, tmp_path, points):
+        model = FactorizedModel.from_params(
+            [EventParams("e0", 3.0), EventParams("e1", 4321.5), EventParams("e2", 2.5e6)],
+            [
+                AdverbialParams("a0", 0.48, 0.05),
+                AdverbialParams("a1", 0.7, 0.13),
+                AdverbialParams("a2", 0.95, 0.2),
+            ],
+        )
+        save_model(model, tmp_path / "model.json")
+        out_dir = tmp_path / "curves"
+        code = run([
+            "plot-data", "--model", str(tmp_path / "model.json"),
+            "--out-dir", str(out_dir), "--points", str(points),
+        ])
+        assert code == EXIT_OK
+        names = [f"{e}__{a}.tsv" for e in ("e0", "e1", "e2") for a in ("a0", "a1", "a2")]
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        for event_id, event in model.events.items():
+            grid = np.geomspace(event.sigma_e / 100.0, 100.0 * event.sigma_e, points)
+            for adverbial_id in model.adverbials:
+                probabilities = model.predict([event_id], [adverbial_id], grid)
+                lines = ["t_minutes\tprobability"] + [
+                    f"{t!r}\t{p!r}" for t, p in zip(grid.tolist(), probabilities.tolist())
+                ]
+                expected = ("\n".join(lines) + "\n").encode()
+                assert (out_dir / f"{event_id}__{adverbial_id}.tsv").read_bytes() == expected
+
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_fewer_than_two_points_rejected(self, work, tmp_path, points):
         out_dir = tmp_path / "curves"

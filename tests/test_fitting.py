@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -172,41 +173,41 @@ class TestLevenbergMarquardt:
         def residuals(theta, rows):
             return np.column_stack([10.0 * (theta[:, 1] - theta[:, 0] ** 2), 1.0 - theta[:, 0]])
 
-        def jacobian(theta, rows):
+        def normal(theta, rows, r):
             jac = np.zeros((len(theta), 2, 2))
             jac[:, 0, 0] = -20.0 * theta[:, 0]
             jac[:, 0, 1] = 10.0
             jac[:, 1, 0] = -1.0
-            return jac
+            return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
 
-        return residuals, jacobian
+        return residuals, normal
 
     def test_rosenbrock_converges(self):
-        residuals, jacobian = self._rosenbrock()
+        residuals, normal = self._rosenbrock()
         theta, cost, _, converged = _levenberg_marquardt(
-            residuals, jacobian, np.array([[-1.2, 1.0]]), 500
+            residuals, normal, np.array([[-1.2, 1.0]]), 500
         )
         assert converged[0]
         assert theta[0] == pytest.approx([1.0, 1.0], abs=1e-6)
         assert cost[0] < 1e-12
 
     def test_accepted_costs_strictly_decrease(self):
-        residuals, jacobian = self._rosenbrock()
+        residuals, normal = self._rosenbrock()
         start = np.array([[-1.2, 1.0]])
-        _, full_cost, full_iterations, _ = _levenberg_marquardt(residuals, jacobian, start, 500)
+        _, full_cost, full_iterations, _ = _levenberg_marquardt(residuals, normal, start, 500)
         assert full_iterations[0] > 5
         costs = [float(np.sum(residuals(start, None) ** 2))]
         for cap in range(1, full_iterations[0] + 1):
-            _, cost, iterations, _ = _levenberg_marquardt(residuals, jacobian, start, cap)
+            _, cost, iterations, _ = _levenberg_marquardt(residuals, normal, start, cap)
             assert iterations[0] == cap
             costs.append(cost[0])
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert costs[-1] == full_cost[0]
 
     def test_iteration_cap_reported(self):
-        residuals, jacobian = self._rosenbrock()
+        residuals, normal = self._rosenbrock()
         _, _, iterations, converged = _levenberg_marquardt(
-            residuals, jacobian, np.array([[-1.2, 1.0]]), 2
+            residuals, normal, np.array([[-1.2, 1.0]]), 2
         )
         assert iterations[0] == 2
         assert not converged[0]
@@ -234,13 +235,13 @@ class TestLevenbergMarquardt:
         assert iterations[0] == 0
 
     def test_batch_members_match_solo_runs(self):
-        residuals, jacobian = self._rosenbrock()
+        residuals, normal = self._rosenbrock()
         starts = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0], [-0.5, 3.0], [1.0, 1.0]])
         budget = 12  # two members stop at the cap, three converge
-        batch = _levenberg_marquardt(residuals, jacobian, starts, budget)
+        batch = _levenberg_marquardt(residuals, normal, starts, budget)
         assert not batch[3].all() and batch[3].any()
         for i, start in enumerate(starts):
-            solo = _levenberg_marquardt(residuals, jacobian, start[None], budget)
+            solo = _levenberg_marquardt(residuals, normal, start[None], budget)
             for solo_out, batch_out in zip(solo, batch):
                 assert solo_out[0].tobytes() == batch_out[i].tobytes()
 
@@ -332,6 +333,29 @@ class TestFitFactorized:
         for eid, ev in tiny_truth.events.items():
             assert report.model.event(eid).sigma_e == pytest.approx(ev.sigma_e, rel=1e-4)
 
+    @pytest.mark.parametrize("seed, starts", [(4, 8), (5, 3), (6, 1)])
+    def test_report_is_the_best_start_run_alone(self, tiny_truth, seed, starts):
+        data = generate_synthetic(tiny_truth, 5, 3, 0.1, seed=seed)
+        config = FitConfig(multistart_count=starts)
+        report = fit_factorized(data, config)
+        best = (report.model, report.final_cost, report.iterations, report.converged)
+        assert best == _best_start_run_alone(data, config)
+
+    def test_earliest_start_wins_ties(self):
+        # Both ratings are 0: every start reaches cost 0 at once, each at its own kernel.
+        truth = FactorizedModel.from_params(
+            [EventParams("e0", 10.0)], [AdverbialParams("a0", 0.3125, 0.02)]
+        )
+        data = generate_synthetic(truth, 2, 1, 0.05, 224)
+        problem = _FactorizedProblem(data)
+        starts = np.array(_factorized_starts(problem, FitConfig()))
+        assert len({start.tobytes() for start in starts}) == 8
+        assert (problem.residuals(starts, np.arange(8))[:, :-1] == 0.0).all()
+        report = fit_factorized(data)
+        assert report.model == problem.model_from_theta(starts[0])
+        best = (report.model, report.final_cost, report.iterations, report.converged)
+        assert best == _best_start_run_alone(data, FitConfig())
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             fit_factorized(Dataset(()))
@@ -368,11 +392,41 @@ class TestFitFactorized:
         assert a == b
 
 
+def _irregular_survey(pairs, seed):
+    """Votes on pairs {(event, adverbial): distinct times}, with 1-4 votes per cell."""
+    rng = np.random.default_rng(seed)
+    records = [
+        _record(e, a, float(t), float(rng.uniform(0.0, 1.0)))
+        for (e, a), times in pairs.items()
+        for t in rng.choice(np.geomspace(1.0, 1e6, 12), times, replace=False)
+        for _ in range(rng.integers(1, 5))
+    ]
+    return Dataset(tuple(records))
+
+
+def _assert_within(actual, expected, rel):
+    """Every entry within rel of the largest reference entry."""
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def _best_start_run_alone(data, config):
+    """(model, cost, iterations, converged) of the best start, each run as a batch of one;
+    min takes the earliest start on ties."""
+    problem = _FactorizedProblem(data)
+    runs = [
+        _levenberg_marquardt(problem.residuals, problem.normal, start[None], config.max_iterations)
+        for start in _factorized_starts(problem, config)
+    ]
+    theta, cost, iterations, converged = min(runs, key=lambda run: run[1][0])
+    return problem.model_from_theta(theta[0]), float(cost[0]), int(iterations[0]), bool(converged[0])
+
+
 class TestFactorizedProblem:
     def test_rows_are_the_per_vote_references_with_one_vote_per_cell(self):
         # One vote per cell gives each cell unit weight and no within-cell sum of
-        # squares, so the rows are the per-vote ones in (event, adverbial, minutes)
-        # order, although precedence is evaluated once per (event, time) point.
+        # squares, so the residuals are the per-vote ones in (event, adverbial, minutes)
+        # order, and the normal equations the per-vote Jacobian's, although precedence
+        # is evaluated once per (event, time) point.
         records = list(generate_synthetic(reference_model(), 7, 1, 0.1, seed=3).records)
         random.Random(0).shuffle(records)
         data = Dataset(tuple(records))
@@ -381,10 +435,88 @@ class TestFactorizedProblem:
         theta = _theta_layout(reference_model())[0] + np.resize([0.3, -0.04, 0.2], 14)
         model = problem.model_from_theta(theta)
         order = np.lexsort((data.minutes, data.adverbial, data.event))
-        r, jac = problem.residuals(theta[None])[0], problem.jacobian(theta[None])[0]
-        assert r[:-1].tobytes() == residuals_factorized(model, data)[order].tobytes()
-        assert jac[:-1].tobytes() == jacobian_factorized(model, data)[order].tobytes()
-        assert r[-1] == 0.0 and not jac[-1].any()
+        r = problem.residuals(theta[None], np.arange(1))
+        assert r[0, :-1].tobytes() == residuals_factorized(model, data)[order].tobytes()
+        assert r[0, -1] == 0.0
+        hess, grad = problem.normal(theta[None], np.arange(1), r)
+        jac = jacobian_factorized(model, data)[order]
+        _assert_within(hess[0], jac.T @ jac, 1e-12)
+        _assert_within(grad[0], jac.T @ r[0, :-1], 1e-12)
+
+    # Pairs missing, pairs of unequal cell counts, one event only, one adverbial only.
+    IRREGULAR = [
+        {("e0", "a0"): 5, ("e0", "a2"): 2, ("e1", "a1"): 3, ("e2", "a0"): 4, ("e2", "a2"): 6},
+        {("e0", "a0"): 2, ("e0", "a1"): 7, ("e0", "a2"): 3},
+        {("e0", "a0"): 4, ("e1", "a0"): 2, ("e2", "a0"): 9},
+        {("e0", "a0"): 3},
+    ]
+
+    @pytest.mark.parametrize("pairs", IRREGULAR)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_normal_equations_match_the_dense_per_vote_ones(self, pairs, seed):
+        data = _irregular_survey(pairs, seed)
+        problem = _FactorizedProblem(data)
+        rng = np.random.default_rng(seed)
+        ne, na = problem.n_events, problem.n_adverbials
+        theta = np.concatenate([
+            rng.uniform(0.0, 12.0, (2, ne)),
+            np.stack([rng.uniform(0.3, 1.0, (2, na)), rng.uniform(-3.0, -0.5, (2, na))], 2)
+            .reshape(2, -1),
+        ], axis=1)
+        r = problem.residuals(theta, np.arange(2))
+        hess, grad = problem.normal(theta, np.arange(2), r)
+        assert hess.shape == (2, problem.n_params, problem.n_params)
+        for i in range(2):
+            model = problem.model_from_theta(theta[i])
+            jac = jacobian_factorized(model, data)
+            _assert_within(hess[i], jac.T @ jac, 1e-12)
+            _assert_within(grad[i], jac.T @ residuals_factorized(model, data), 1e-12)
+
+    @staticmethod
+    def _assert_members_match_solo_runs(problem, starts, budget):
+        batch = _levenberg_marquardt(problem.residuals, problem.normal, starts, budget)
+        for i, start in enumerate(starts):
+            solo = _levenberg_marquardt(problem.residuals, problem.normal, start[None], budget)
+            for solo_out, batch_out in zip(solo, batch):
+                assert solo_out[0].tobytes() == batch_out[i].tobytes()
+        return batch
+
+    def test_batch_members_match_solo_runs(self, tiny_truth):
+        data = generate_synthetic(tiny_truth, 5, 3, 0.1, seed=4)
+        problem = _FactorizedProblem(data)
+        starts = np.array(_factorized_starts(problem, FitConfig(multistart_count=6)))
+        iterations, converged = self._assert_members_match_solo_runs(problem, starts, 12)[2:]
+        assert converged.any() and (iterations == 12).any()  # some stop at the cap, some converge
+
+    def test_width_out_of_float_range_rejects_only_its_start(self, tiny_truth):
+        data = generate_synthetic(tiny_truth, 5, 3, 0.1, seed=4)
+        problem = _FactorizedProblem(data)
+        good = np.array(_factorized_starts(problem, FitConfig(multistart_count=3)))
+        overflow, underflow = good[0].copy(), good[1].copy()
+        overflow[0], underflow[3] = 800.0, -800.0  # exp(log sigma_e) is inf, exp(log sigma_a) 0
+        starts = np.array([good[0], overflow, good[1], underflow, good[2]])
+        r = problem.residuals(starts, np.arange(5))
+        assert np.isnan(r[[1, 3]]).all()
+        assert r[[0, 2, 4]].tobytes() == problem.residuals(good, np.arange(3)).tobytes()
+        theta, cost, iterations, converged = self._assert_members_match_solo_runs(
+            problem, starts, 100
+        )
+        assert cost[[1, 3]].tolist() == [math.inf] * 2
+        assert iterations[[1, 3]].tolist() == [0, 0] and not converged[[1, 3]].any()
+        assert theta[[1, 3]].tobytes() == starts[[1, 3]].tobytes()
+        assert np.isfinite(cost[[0, 2, 4]]).all() and converged[[0, 2, 4]].all()
+
+    def test_default_fit_peak_memory(self):
+        # A Jacobian dense over all 8 starts of the 16x16 ladder rung peaked at 7.06 MB.
+        truth = TestFactorizedBasins._ladder_truth(16, 16)
+        data = generate_synthetic(truth, 7, 5, 0.1, 42000 + 6)
+        tracemalloc.start()
+        try:
+            fit_factorized(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
 
 class TestFactorizedStarts:
@@ -706,16 +838,18 @@ class TestCellStatisticsExactness:
             except (DomainError, OverflowError):  # a width left float range: reject the trial
                 return np.full((1, len(data)), math.inf)
 
+        def per_vote_normal(theta, rows, r):
+            jac = per_vote(jacobian_factorized, theta)
+            return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
+
         per_vote_fit = _levenberg_marquardt(
             lambda theta, rows: per_vote(residuals_factorized, theta),
-            lambda theta, rows: per_vote(jacobian_factorized, theta),
+            per_vote_normal,
             theta0[None],
             budget,
         )
         problem = _FactorizedProblem(data)
-        reduced_fit = _levenberg_marquardt(
-            problem.residuals, problem.jacobian, theta0[None], budget
-        )
+        reduced_fit = _levenberg_marquardt(problem.residuals, problem.normal, theta0[None], budget)
         theta, cost, iterations, _ = reduced_fit
         assert iterations[0] == per_vote_fit[2][0]
         assert theta[0] == pytest.approx(per_vote_fit[0][0], abs=1e-6)
