@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,12 +72,7 @@ class ExtendabilityRow:
     baseline_functions: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_events": self.n_events,
-            "n_adverbials": self.n_adverbials,
-            "factorized_functions": self.factorized_functions,
-            "baseline_functions": self.baseline_functions,
-        }
+        return asdict(self)
 
 
 def extendability_table(

@@ -77,6 +77,14 @@ class UnknownIdError(KeyError):
     """Event or adverbial id missing from a model."""
 
 
+def _finite(name: str, value, positive: bool = False) -> float:
+    """float(value); DomainError naming it unless finite, and > 0 if positive."""
+    x = float(value)
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        raise DomainError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
+    return x
+
+
 def canonical_unit(text: str) -> str:
     """Normalize a unit name: lowercase, trailing plural "s" stripped."""
     unit = text.strip().lower()
@@ -129,10 +137,7 @@ class EventParams:
     sigma_e: float
 
     def __post_init__(self) -> None:
-        sigma = float(self.sigma_e)
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma_e must be finite and > 0, got {self.sigma_e!r}")
-        object.__setattr__(self, "sigma_e", sigma)
+        object.__setattr__(self, "sigma_e", _finite("sigma_e", self.sigma_e, positive=True))
 
 
 @dataclass(frozen=True)
@@ -144,14 +149,8 @@ class AdverbialParams:
     sigma_a: float
 
     def __post_init__(self) -> None:
-        mu = float(self.mu_a)
-        sigma = float(self.sigma_a)
-        if not math.isfinite(mu):
-            raise DomainError(f"mu_a must be finite, got {self.mu_a!r}")
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma_a must be finite and > 0, got {self.sigma_a!r}")
-        object.__setattr__(self, "mu_a", mu)
-        object.__setattr__(self, "sigma_a", sigma)
+        object.__setattr__(self, "mu_a", _finite("mu_a", self.mu_a))
+        object.__setattr__(self, "sigma_a", _finite("sigma_a", self.sigma_a, positive=True))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +187,17 @@ def _composite_terms(t, sigma_e, mu_a, sigma_a):
     return _kernel_terms(_precedence(t, sigma_e), mu_a, sigma_a)
 
 
+def _keyed(items, key, kind: str) -> dict:
+    """{key(item): item} for items in order; ValueError naming a repeated key."""
+    table: dict = {}
+    for item in items:
+        k = key(item)
+        if k in table:
+            raise ValueError(f"duplicate {kind} {k!r}")
+        table[k] = item
+    return table
+
+
 def _lookup(table: dict, keys, kind: str) -> list:
     """table[key] for each key; a missing key raises UnknownIdError naming it."""
     try:
@@ -210,17 +220,13 @@ def event_precedence(t_minutes: float, event: EventParams) -> float:
     Standard normal CDF of t / sigma_e: exactly 0.5 at t = 0, strictly
     increasing, and inside (0, 1) for all finite t up to float saturation.
     """
-    t_minutes = float(t_minutes)
-    if not math.isfinite(t_minutes):
-        raise DomainError(f"elapsed time must be finite, got {t_minutes!r}")
+    t_minutes = _finite("elapsed time", float(t_minutes))  # the message shows the float
     return float(_precedence(t_minutes, event.sigma_e))
 
 
 def adverbial_applicability(x: float, adverbial: AdverbialParams) -> float:
     """Unnormalized Gaussian kernel on the precedence axis; equals 1 iff x == mu_a."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"precedence value must be finite, got {x!r}")
+    x = _finite("precedence value", float(x))  # the message shows the float
     return float(_kernel_terms(x, adverbial.mu_a, adverbial.sigma_a)[1])
 
 
@@ -240,13 +246,8 @@ class PairParams:
     sigma_minutes: float
 
     def __post_init__(self) -> None:
-        mu = float(self.mu_minutes)
-        sigma = float(self.sigma_minutes)
-        if not math.isfinite(mu):
-            raise DomainError(f"mu_minutes must be finite, got {self.mu_minutes!r}")
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise DomainError(f"sigma_minutes must be finite and > 0, got {self.sigma_minutes!r}")
-        object.__setattr__(self, "mu_minutes", mu)
+        object.__setattr__(self, "mu_minutes", _finite("mu_minutes", self.mu_minutes))
+        sigma = _finite("sigma_minutes", self.sigma_minutes, positive=True)
         object.__setattr__(self, "sigma_minutes", sigma)
 
 
@@ -278,17 +279,10 @@ class FactorizedModel:
     def from_params(
         cls, events: list[EventParams], adverbials: list[AdverbialParams]
     ) -> "FactorizedModel":
-        ev_map: dict[str, EventParams] = {}
-        for ev in events:
-            if ev.event_id in ev_map:
-                raise ValueError(f"duplicate event id {ev.event_id!r}")
-            ev_map[ev.event_id] = ev
-        adv_map: dict[str, AdverbialParams] = {}
-        for adv in adverbials:
-            if adv.adverbial_id in adv_map:
-                raise ValueError(f"duplicate adverbial id {adv.adverbial_id!r}")
-            adv_map[adv.adverbial_id] = adv
-        return cls(ev_map, adv_map)
+        return cls(
+            _keyed(events, lambda ev: ev.event_id, "event id"),
+            _keyed(adverbials, lambda adv: adv.adverbial_id, "adverbial id"),
+        )
 
     def event(self, event_id: str) -> EventParams:
         return _lookup(self.events, [event_id], "event")[0]
@@ -366,13 +360,7 @@ class PairGaussianModel:
 
     @classmethod
     def from_params(cls, pairs: list[PairParams]) -> "PairGaussianModel":
-        pair_map: dict[tuple[str, str], PairParams] = {}
-        for pair in pairs:
-            key = (pair.event_id, pair.adverbial_id)
-            if key in pair_map:
-                raise ValueError(f"duplicate pair {key!r}")
-            pair_map[key] = pair
-        return cls(pair_map)
+        return cls(_keyed(pairs, lambda pair: (pair.event_id, pair.adverbial_id), "pair"))
 
     def pair(self, event_id: str, adverbial_id: str) -> PairParams:
         return _lookup(self.pairs, [(event_id, adverbial_id)], "pair")[0]

@@ -431,6 +431,7 @@ class TestExtendability:
     def test_bad_counts(self):
         assert run(["extendability", "--events", "0", "--adverbials", "4"]) == EXIT_VALIDATION
         assert run(["extendability", "--events", "2", "--adverbials", "x"]) == EXIT_VALIDATION
+        assert run(["extendability", "--events", ",,", "--adverbials", "2"]) == EXIT_VALIDATION
 
 
 class TestPlotData:

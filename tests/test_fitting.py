@@ -2,7 +2,7 @@ import math
 import random
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -714,15 +714,24 @@ class TestFitBaseline:
         assert report.residual_count == 2 * 2 * 5
 
     def test_runaway_pair_is_pinned_and_not_converged(self):
-        # One pair's best start here ends at mu ~ -1.3e9 minutes, log sigma ~ -6,669;
-        # another's runs off to mu ~ -3e10 minutes and stops at the step budget.
-        data = generate_synthetic(reference_model(), 7, 18, 0.1, seed=0)
+        # A pair is fitted from its own cells, so one survey can carry two draws' runaways.
+        # In the 7x18 noise-0.1 seed-0 survey, ('Marriage', 'Recently')'s best start ends at
+        # mu ~ -1.3e9 minutes, log sigma ~ -6,668; in the noise-0.3 seed-2 survey,
+        # ('Sabbatical', 'Some Time Ago')'s runs off to mu ~ -2.3e11 minutes and stops at the
+        # step budget.
+        spliced = ("Sabbatical", "Some Time Ago")
+        base = generate_synthetic(reference_model(), 7, 18, 0.1, seed=0).records
+        other = generate_synthetic(reference_model(), 7, 18, 0.3, seed=2).records
+        data = Dataset(
+            tuple(r for r in base if (r.event_id, r.adverbial_id) != spliced)
+            + tuple(r for r in other if (r.event_id, r.adverbial_id) == spliced)
+        )
         report = fit_baseline(data, FitConfig(multistart_count=2))
         assert not report.converged
         assert len(report.warnings) == 2
         assert "('Marriage', 'Recently')" in report.warnings[0]
         assert "ran out of range" in report.warnings[0]
-        assert "('Year Abroad', 'Some Time Ago')" in report.warnings[1]
+        assert "('Sabbatical', 'Some Time Ago')" in report.warnings[1]
         assert "did not converge (mu -" in report.warnings[1]
         assert report.model.function_count == 24
         pair = report.model.pair("Marriage", "Recently")
@@ -756,14 +765,21 @@ class TestFitBaseline:
         config = FitConfig(multistart_count=4)
         assert fit_baseline(data, config) == fit_baseline(data, config)
 
-    def test_pair_starts_are_sequential_draws(self):
-        # The reference is two scalar draws per perturbed start, mean step first.
+    @pytest.mark.parametrize("count", [1, 2, 8, 33])
+    def test_pair_starts_are_r2_offsets(self, count):
+        # The reference is the formula in scalars: start i is start 0 plus
+        # (2 * frac(0.5 + i * alpha) - 1) * (span, 1.5), alpha = (1/g, 1/g^2), g plastic.
+        g = 1.32471795724474602596
         t, y, n = np.array([1.0, 5.0, 30.0]), np.array([0.2, 0.9, 0.4]), np.array([1, 2, 1])
-        starts = _pair_starts(t, y, n, np.random.default_rng(0), 4)
-        rng = np.random.default_rng(0)
-        for start in starts[1:]:
-            expected = starts[0] + [rng.uniform(-1.0, 1.0) * 29.0, rng.uniform(-1.5, 1.5)]
-            assert start.tobytes() == expected.tobytes()
+        starts = _pair_starts(t, y, n, count)
+        assert starts.shape == (count, 2)
+        assert starts[0][0] == pytest.approx(21.2 / 2.4)  # the rating-weighted mean time
+        for i, start in enumerate(starts[1:], 1):
+            offset = [
+                (2.0 * ((0.5 + i * (1.0 / g)) % 1.0) - 1.0) * 29.0,
+                (2.0 * ((0.5 + i * (1.0 / g**2)) % 1.0) - 1.0) * 1.5,
+            ]
+            assert start.tobytes() == (starts[0] + offset).tobytes()
 
     def test_record_order_invariant(self, tiny_truth):
         data = generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4)
@@ -771,6 +787,25 @@ class TestFitBaseline:
         random.Random(1).shuffle(shuffled)
         config = FitConfig(multistart_count=4)
         assert fit_baseline(data, config) == fit_baseline(Dataset(tuple(shuffled)), config)
+
+    def test_event_names_do_not_change_any_pair(self):
+        # Renamed events sort in reverse, so every pair moves in the fitted order.
+        data = generate_synthetic(reference_model(), 7, 20, 0.1, seed=0)
+        events = sorted(set(data.event_ids))
+        renamed = {e: f"{len(events) - i:02d} {e}" for i, e in enumerate(events)}
+        relabeled = Dataset(tuple(replace(r, event_id=renamed[r.event_id]) for r in data.records))
+        assert sorted(relabeled.event_ids) == [renamed[e] for e in reversed(events)]
+        report, other = fit_baseline(data), fit_baseline(relabeled)
+        assert other.model.function_count == report.model.function_count
+        for (event, adverbial), pair in report.model.pairs.items():
+            renamed_pair = replace(pair, event_id=renamed[event])
+            assert other.model.pair(renamed[event], adverbial) == renamed_pair
+        assert other.final_cost.hex() == report.final_cost.hex()
+        assert (other.iterations, other.converged) == (report.iterations, report.converged)
+        mapped = other.warnings
+        for event, new in renamed.items():
+            mapped = [warning.replace(repr(new), repr(event)) for warning in mapped]
+        assert sorted(mapped) == sorted(report.warnings)
 
 
 class TestCellStatisticsExactness:

@@ -169,8 +169,8 @@ class TestEventPrecedence:
         assert event_precedence(lo, ev) < event_precedence(hi, ev)
 
     def test_rejects_non_finite_time(self):
-        with pytest.raises(DomainError):
-            event_precedence(math.nan, EventParams("e", 1.0))
+        with pytest.raises(DomainError, match=r"^elapsed time must be finite, got nan$"):
+            event_precedence(np.float64(math.nan), EventParams("e", 1.0))
 
 
 class TestAdverbialApplicability:
@@ -208,8 +208,8 @@ class TestAdverbialApplicability:
         assert 0.0 <= left <= 1.0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            adverbial_applicability(math.inf, AdverbialParams("a", 0.5, 0.1))
+        with pytest.raises(DomainError, match=r"^precedence value must be finite, got inf$"):
+            adverbial_applicability(np.float64(math.inf), AdverbialParams("a", 0.5, 0.1))
 
 
 class TestCompositeProbability:
@@ -341,6 +341,11 @@ class TestBestAdverbial:
         with pytest.raises(UnknownIdError):
             best_adverbial(Duration(1.0, "day"), EventParams("nope", 1.0), reference_model())
 
+    def test_no_adverbials(self):
+        model = FactorizedModel.from_params([EventParams("e", 1.0)], [])
+        with pytest.raises(UnknownIdError, match="model has no adverbials"):
+            best_adverbial(Duration(1.0, "day"), model.event("e"), model)
+
 
 elapsed_minutes = st.one_of(
     st.sampled_from([0.0, 1e9]), st.floats(min_value=0.0, max_value=1e9)
@@ -461,6 +466,24 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             PairParams("e", "a", math.inf, 1.0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: EventParams("e", 0.0), "sigma_e must be finite and > 0, got 0.0"),
+            (lambda: AdverbialParams("a", math.nan, 0.1), "mu_a must be finite, got nan"),
+            (lambda: AdverbialParams("a", 0.5, -1), "sigma_a must be finite and > 0, got -1"),
+            (lambda: PairParams("e", "a", -math.inf, 1.0), "mu_minutes must be finite, got -inf"),
+            (
+                lambda: PairParams("e", "a", 1.0, math.nan),
+                "sigma_minutes must be finite and > 0, got nan",
+            ),
+        ],
+    )
+    def test_messages_name_the_field_and_value(self, build, message):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == message
+
 
 class TestFactorizedModel:
     def test_reference_counts(self):
@@ -485,22 +508,27 @@ class TestFactorizedModel:
         assert set(model.adverbials) == set(REFERENCE_ADVERBIAL_PARAMS)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate event id 'e'$"):
             FactorizedModel.from_params(
                 [EventParams("e", 1.0), EventParams("e", 2.0)],
                 [AdverbialParams("a", 0.5, 0.1)],
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate adverbial id 'a'$"):
             FactorizedModel.from_params(
                 [EventParams("e", 1.0)],
                 [AdverbialParams("a", 0.5, 0.1), AdverbialParams("a", 0.6, 0.2)],
             )
 
     def test_key_id_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="event key 'x' does not match id 'e'"):
             FactorizedModel(
                 events={"x": EventParams("e", 1.0)},
                 adverbials={"a": AdverbialParams("a", 0.5, 0.1)},
+            )
+        with pytest.raises(ValueError, match="adverbial key 'x' does not match id 'a'"):
+            FactorizedModel(
+                events={"e": EventParams("e", 1.0)},
+                adverbials={"x": AdverbialParams("a", 0.5, 0.1)},
             )
 
     def test_unknown_lookups(self):
@@ -545,10 +573,14 @@ class TestPairGaussianModel:
             self._model().probability("e2", "a2", Duration(1.0, "day"))
 
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate pair \('e', 'a'\)$"):
             PairGaussianModel.from_params(
                 [PairParams("e", "a", 1.0, 1.0), PairParams("e", "a", 2.0, 1.0)]
             )
+
+    def test_key_id_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"pair key \('e', 'x'\) does not match ids"):
+            PairGaussianModel({("e", "x"): PairParams("e", "a", 1.0, 1.0)})
 
 
 class TestSerialization:
@@ -615,6 +647,13 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize("doc", [{"pairs": [{"event": "e"}]}, {"pairs": [7]}])
+    def test_malformed_baseline_documents_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed baseline model document"):
+            load_baseline(path)
 
     def test_reference_file_matches_builtin(self, repo_root):
         # reference_model.json is generated by scripts/write_reference_model.py
