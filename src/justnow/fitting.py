@@ -1,12 +1,12 @@
 """Least-squares fitting for the factorized model and the per-pair baseline.
 
 One minimizer serves every fit: a damped Gauss-Newton loop (Levenberg-Marquardt
-with Marquardt diagonal scaling) over a batch of independent problems, with
-analytic residuals and normal equations.  The joint fit runs all its starts as
-one batch, and sums its normal equations from the three nonzero partials of
-each residual, never building the Jacobian; the kernel fits of the baseline's
-pairs, and of both informed starts' adverbials, run as one batch per cell
-count over every group and start.  Widths are optimized as log(sigma), and the
+with Marquardt diagonal scaling) over a batch of independent problems, on their
+costs and analytic normal equations, which are summed from each residual's
+nonzero partials without building a Jacobian.  The joint fit runs all its
+starts as one batch; the kernel fits of the baseline's pairs, and of both
+informed starts' adverbials, run as one batch over every start of every run of
+cells, whatever their cell counts.  Widths are optimized as log(sigma), and the
 joint fit rejects a log width whose exp is 0 or infinite; kernel means are
 unconstrained.  The lowest final cost over two informed starts and fixed
 perturbations wins, the earliest start on ties.  Each problem
@@ -17,9 +17,9 @@ pair's starts are a fixed pattern around its rating moments.  So a fit
 depends only on its data and its FitConfig.
 
 Votes are reduced to per-cell statistics (count n, mean, within-cell sum of
-squares ss) sorted by (event, adverbial, minutes); both families fit
-sqrt(n) * (prediction - mean) plus a constant sqrt(sum of ss), whose squares
-sum to the per-vote cost.  Fits are bit-for-bit the same for any record order.
+squares ss) sorted by (event, adverbial, minutes); both families' costs sum
+n * (prediction - mean)^2 and ss over cells, which is the per-vote cost.  Fits
+are bit-for-bit the same for any record order.
 To give each cell's mean rating unit weight instead, fit cell_means(data).
 """
 
@@ -129,11 +129,6 @@ def _run_starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.any([np.append(True, c[1:] != c[:-1]) for c in columns], axis=0))
 
 
-def _runs(*columns: np.ndarray) -> list[np.ndarray]:
-    """Row indices of each run of rows that are equal in every one of the sorted columns."""
-    return np.split(np.arange(len(columns[0])), _run_starts(*columns)[1:])
-
-
 def _cells_from_dataset(data: Dataset):
     """(event, adverbial, t_minutes, n, mean, ss, min, max) arrays, one entry per cell.
 
@@ -210,40 +205,40 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # norms and costs of runaway points may overflow to inf
-def _levenberg_marquardt(residual_fn, normal_fn, theta0, max_iterations: int):
+def _levenberg_marquardt(cost_fn, normal_fn, theta0, max_iterations: int):
     """Damped Gauss-Newton with Marquardt scaling over a batch of independent problems.
 
-    theta0 is (G, p); residual_fn(theta, rows) maps the parameters (k, p) of
-    problems rows to residuals r (k, m), and normal_fn(theta, rows, r) to the
-    normal equations' JᵀJ (k, p, p) and Jᵀr (k, p), so the loop never holds a
-    Jacobian.  Returns each problem's theta, cost, iterations (accepted steps)
-    and converged flag.  Each pass tries one damped step per running problem,
-    which keeps its own damping, normal equations and termination, so it takes
-    the same steps in any batch as alone.  A step is accepted only if it
-    strictly lowers the cost.  Termination: relative cost decrease below
-    _COST_TOLERANCE, step norm below _PARAM_TOLERANCE (scaled by the parameter
-    norm), exact zero cost, or no downhill step at any damping (a stationary
-    point).  Taking max_iterations steps without one of those, or a non-finite
-    start or starting cost, leaves converged False.
+    theta0 is (G, p); cost_fn(theta, rows) maps the parameters (k, p) of
+    problems rows to their costs (k,), each a sum of squared residuals, and
+    normal_fn(theta, rows) to the normal equations' JᵀJ (k, p, p) and Jᵀr (k, p),
+    so the loop holds neither residuals nor a Jacobian.  Returns each problem's
+    theta, cost, iterations (accepted steps) and converged flag.  Each pass
+    tries one damped step per running problem, which keeps its own damping,
+    normal equations and termination, so it takes the same steps in any batch
+    as alone.  A step is accepted only if it strictly lowers the cost.
+    Termination: relative cost decrease below _COST_TOLERANCE, step norm below
+    _PARAM_TOLERANCE (scaled by the parameter norm), exact zero cost, or no
+    downhill step at any damping (a stationary point).  Taking max_iterations
+    steps without one of those, or a non-finite start or starting cost, leaves
+    converged False.
     """
     theta = np.array(theta0, dtype=float)
     count, n_params = theta.shape
-    r = residual_fn(theta, np.arange(count))
-    cost = _sum_squares(r)
+    cost = cost_fn(theta, np.arange(count))
     cost[~(np.isfinite(cost) & np.isfinite(theta).all(axis=1))] = math.inf  # never stepped from
     result = (theta.copy(), cost.copy(), np.zeros(count, dtype=int), cost == 0.0)
     # State of the running problems only, compacted as they finish; live maps
     # them to the batch.  Normal equations are recomputed only after a step, and
     # recomputing them at an unchanged theta gives the same values.
     live = np.flatnonzero((cost > 0.0) & (cost < math.inf))
-    theta, r, cost = theta[live], r[live], cost[live]
+    theta, cost = theta[live], cost[live]
     lam = np.full(live.size, 1e-3)
     iterations = np.zeros(live.size, dtype=int)
     moved = np.ones(live.size, dtype=bool)
     diagonal = np.arange(n_params)
     while live.size:
         if moved.any():
-            hess, grad = normal_fn(theta, live, r)
+            hess, grad = normal_fn(theta, live)
             d = hess[:, diagonal, diagonal]
             damping = np.zeros_like(hess)
             damping[:, diagonal, diagonal] = np.where(d <= 0.0, 1.0, d)  # flat column: unit scale
@@ -251,8 +246,7 @@ def _levenberg_marquardt(residual_fn, normal_fn, theta0, max_iterations: int):
         solved = np.isfinite(step).all(axis=1)
         step[~solved] = 0.0  # evaluate nothing at a non-finite point
         trial = theta + step
-        r_trial = residual_fn(trial, live)
-        trial_cost = _sum_squares(r_trial)
+        trial_cost = cost_fn(trial, live)
         moved = solved & (trial_cost < cost)
         lam = np.where(moved, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
         converged = lam > 1e14  # no damping yields a decrease: a stationary point
@@ -261,7 +255,6 @@ def _levenberg_marquardt(residual_fn, normal_fn, theta0, max_iterations: int):
             step_norm = np.sqrt(_sum_squares(trial - theta))
             theta_norm = np.sqrt(_sum_squares(theta))
             theta = np.where(moved[:, None], trial, theta)
-            np.copyto(r, r_trial, where=moved[:, None])
             cost = np.where(moved, trial_cost, cost)
             iterations += moved
             converged |= moved & (
@@ -269,76 +262,83 @@ def _levenberg_marquardt(residual_fn, normal_fn, theta0, max_iterations: int):
                 | (rel_decrease < _COST_TOLERANCE)
                 | (step_norm <= _PARAM_TOLERANCE * (theta_norm + _PARAM_TOLERANCE))
             )
-        del r_trial  # the next residuals and normal equations are built without these alive
         done = converged | (iterations >= max_iterations)
         if done.any():
             for out, state in zip(result, (theta, cost, iterations, converged)):
                 out[live[done]] = state[done]
             keep = ~done
-            live, theta, r, cost, lam, iterations, moved, hess, damping, grad = (
-                a[keep] for a in (live, theta, r, cost, lam, iterations, moved, hess, damping, grad)
+            live, theta, cost, lam, iterations, moved, hess, damping, grad = (
+                a[keep] for a in (live, theta, cost, lam, iterations, moved, hess, damping, grad)
             )
     return result
 
 
 # ---------------------------------------------------------------------------
-# Gaussian kernels fitted to groups of cells: the informed start and the baseline.
+# Gaussian kernels fitted to runs of cells: the informed start and the baseline.
 
 
-def _kernel_fns(groups, counts):
-    """Batched residuals and normal equations of kernels exp(-z^2 / 2), z = (x - mu) / sigma.
+class _KernelProblem:
+    """Batched costs and normal equations of kernels exp(-z^2 / 2), z = (x - mu) / sigma.
 
-    Each group is its cells' positions x, mean ratings y and vote counts n, and
-    their summed within-cell sum of squares ss; all have the same cell count.
-    counts[i] problems, theta = (mu, log sigma), share group i.  Residuals are
-    sqrt(n) * (k - y) plus a constant sqrt(ss), like _FactorizedProblem's.
+    cells is flat per-cell (x, y, n, ss); run g is the cells from runs[g] to the
+    next run.  Problem i, theta = (mu, log sigma), fits run group[i] at the per-vote
+    cost, n * (k - y)^2 plus ss summed over the run.  Each sum over a problem's cells
+    is one np.add.reduceat segment, summed in the same order in any batch.
     """
-    x, y, n, ss = (np.array([group[c] for group in groups], dtype=float) for c in range(4))
-    weight, root_ss = np.sqrt(n), np.sqrt(ss)
-    group_of = np.repeat(np.arange(len(groups)), counts)
+
+    def __init__(self, cells, runs: np.ndarray, group: np.ndarray):
+        self.x, self.y, n, ss = cells
+        self.weight, self.rows = np.sqrt(n), None
+        self.start, self.size = runs[group], np.diff(runs, append=self.x.size)[group]
+        self.ss = np.add.reduceat(ss, runs)[group]
 
     @np.errstate(all="ignore")
-    def residuals(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        g = group_of[rows]
-        _, k = _kernel_terms(x[g], theta[:, :1], np.exp(theta[:, 1:]))
-        return np.column_stack([weight[g] * (k - y[g]), root_ss[g]])
+    def terms(self, theta: np.ndarray, rows: np.ndarray):
+        """z, k and r = sqrt(n) * (k - y) of rows' cells, laid end to end; in place where
+        it can be, as a batch of every run's starts makes these a fit's largest arrays."""
+        size = self.size[rows]
+        if rows is not self.rows:  # LM makes a new rows array only when it compacts
+            self.rows, self.first = rows, np.cumsum(size) - size  # each problem's first cell
+            self.cell = np.repeat(self.start[rows] - self.first, size) + np.arange(size.sum())
+        z = self.x[self.cell]
+        z -= np.repeat(theta[:, 0], size)
+        z /= np.repeat(np.exp(theta[:, 1]), size)
+        k = _gaussian(z)
+        r = k - self.y[self.cell]
+        r *= self.weight[self.cell]
+        return z, k, r
+
+    def cost(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        r = self.terms(theta, rows)[2]
+        return np.add.reduceat(r * r, self.first) + self.ss[rows]
 
     @np.errstate(all="ignore")
-    def normal(theta: np.ndarray, rows: np.ndarray, r: np.ndarray):
-        g = group_of[rows]
-        sigma = np.exp(theta[:, 1:])
-        # In place: a batch holds every group and start, so each (problems, cells)
-        # temporary adds to the fit's peak memory.
-        z, wk = _kernel_terms(x[g], theta[:, :1], sigma)
-        wk *= weight[g]
-        jac = np.zeros((rows.size, x.shape[1] + 1, 2))  # the constant residual's row stays zero
-        np.multiply(z, wk, out=jac[:, :-1, 0])
-        jac[:, :-1, 0] /= sigma
-        z *= z
-        np.multiply(z, wk, out=jac[:, :-1, 1])
-        return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
-
-    return residuals, normal
+    def normal(self, theta: np.ndarray, rows: np.ndarray):
+        """JᵀJ (k, 2, 2) and Jᵀr (k, 2) at theta (k, 2), each entry one reduceat."""
+        z, k, r = self.terms(theta, rows)
+        k *= self.weight[self.cell]
+        k *= z
+        z *= k  # each cell's partial for log sigma, z^2 * k * sqrt(n)
+        k /= np.repeat(np.exp(theta[:, 1]), self.size[rows])  # and for mu, z * k * sqrt(n) / sigma
+        products = ((k, k), (k, z), (z, z), (k, r), (z, r))
+        bb, bc, cc, br, cr = (np.add.reduceat(u * v, self.first) for u, v in products)
+        return np.stack([bb, bc, bc, cc], axis=1).reshape(-1, 2, 2), np.stack([br, cr], axis=1)
 
 
-def _fit_kernels(groups, starts, max_iterations: int) -> list[tuple]:
-    """(theta, cost, iterations, converged) of each group's best start, the earliest on ties.
+def _fit_kernels(cells, runs: np.ndarray, starts: dict, max_iterations: int) -> dict:
+    """{g: (theta, cost, iterations, converged)} of run g's best start, the earliest on ties.
 
-    starts[i] lists group i's (mu, log sigma) starts.  The groups with the same
-    number of cells run as one batch over all their starts.  Batches never mix
-    cell counts: zero-weight padding changes BLAS sums in the last bit, so a
-    problem's steps would depend on its batch.
+    starts[g] lists run g's (mu, log sigma) starts, for one run or more: one LM batch.
     """
-    best: list = [None] * len(groups)
-    for size in {len(group[0]) for group in groups}:
-        batch = [i for i, group in enumerate(groups) if len(group[0]) == size]
-        counts = [len(starts[i]) for i in batch]
-        fns = _kernel_fns([groups[i] for i in batch], counts)
-        theta0 = np.concatenate([starts[i] for i in batch])
-        theta, cost, iterations, converged = _levenberg_marquardt(*fns, theta0, max_iterations)
-        for i, end, count in zip(batch, np.cumsum(counts), counts):
-            j = end - count + int(np.argmin(cost[end - count : end]))
-            best[i] = (theta[j], float(cost[j]), int(iterations[j]), bool(converged[j]))
+    counts = [len(run_starts) for run_starts in starts.values()]
+    problem = _KernelProblem(cells, runs, np.repeat(list(starts), counts))
+    theta, cost, iterations, converged = _levenberg_marquardt(
+        problem.cost, problem.normal, np.concatenate(list(starts.values())), max_iterations
+    )
+    best = {}
+    for g, end, count in zip(starts, np.cumsum(counts), counts):
+        j = end - count + int(np.argmin(cost[end - count : end]))
+        best[g] = (theta[j], float(cost[j]), int(iterations[j]), bool(converged[j]))
     return best
 
 
@@ -349,7 +349,7 @@ def _fit_kernels(groups, starts, max_iterations: int) -> list[tuple]:
 class _FactorizedProblem:
     """Vectorized per-vote objective over cell statistics, for a batch of starts.
 
-    residuals and normal take theta of shape (k, p) for any k; every start
+    residuals, cost and normal take theta of shape (k, p) for any k; every start
     shares the cells, so rows only sizes the batch.  The last residual is
     constant.  Precedence is evaluated once per distinct (event, time) point
     (point_ev, point_t) and gathered to the cells by point.  normal sums the
@@ -415,9 +415,12 @@ class _FactorizedProblem:
         r[(widths.min(axis=1) == 0.0) | (widths.max(axis=1) == math.inf)] = math.nan
         return r
 
+    def cost(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _sum_squares(self.residuals(theta, rows))
+
     @np.errstate(all="ignore")
-    def normal(self, theta: np.ndarray, rows: np.ndarray, r: np.ndarray):
-        """JᵀJ (k, p, p) and Jᵀr (k, p) at theta (k, p), where r is residuals(theta, rows).
+    def normal(self, theta: np.ndarray, rows: np.ndarray):
+        """JᵀJ (k, p, p) and Jᵀr (k, p) at theta (k, p).
 
         A cell's row of J is _jacobian's three partials times sqrt(n): a for its
         event's log sigma_e, b and c for its adverbial's mu_a and log sigma_a.
@@ -433,7 +436,7 @@ class _FactorizedProblem:
         zk = z * k
         b = self.weight * (zk / sa)
         a, c = b * u_phi, self.weight * (zk * z)
-        r = r[:, :-1]  # the constant residual's row of J is zero
+        r = self.weight * (k - self.y)  # the constant residual's row of J is zero
         # Each product is summed on its own: stacking (k, cells) arrays costs more than it saves.
         aa, ar = (np.add.reduceat(v, self.event_starts, axis=1) for v in (a * a, a * r))
         ab, ac = (np.add.reduceat(v, self.pair_starts, axis=1) for v in (a * b, a * c))
@@ -487,29 +490,28 @@ def _factorized_starts(problem: _FactorizedProblem, config: FitConfig) -> list[n
     call.  The remaining starts are perturbations of the first, drawn from a
     generator seeded with 0, so a single start is the first informed one.
     """
-    event_votes = (np.repeat(problem.t[run], problem.n[run]) for run in _runs(problem.ev_idx))
-    sigma0 = np.maximum([np.median(votes) for votes in event_votes], 1e-9)
+    event_t, event_n = (np.split(v, problem.event_starts[1:]) for v in (problem.t, problem.n))
+    sigma0 = np.maximum([np.median(np.repeat(t, n)) for t, n in zip(event_t, event_n)], 1e-9)
     widths = [sigma0, sigma0 * 10.0 ** (1.0 / 3.0)][: config.multistart_count]
     grid = [
         np.array([mu, math.log(sigma)])
         for mu in (0.35, 0.5, 0.65, 0.8, 0.95)
         for sigma in (0.05, 0.15)
     ]
-    groups, kernel_starts = [], []
-    for sigma_e in widths:
-        x0 = problem.precedence(sigma_e)
-        for j in range(problem.n_adverbials):
-            mask = problem.ad_idx == j
-            xs, ys, ns = x0[mask], problem.y[mask], problem.n[mask]
-            candidates = list(grid)
-            mean, var = _rating_moments(xs, ys, ns)
-            if var is not None:
-                sigma = math.sqrt(var) if var > 0.0 else 0.1
-                candidates.append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
-            groups.append((xs, ys, ns, problem.ss[mask].sum()))
-            kernel_starts.append(candidates)
-    kernels = [theta for theta, *_ in _fit_kernels(groups, kernel_starts, config.max_iterations)]
-    kernels = np.reshape(kernels, (len(widths), 2 * problem.n_adverbials))
+    # Each width's cells in adverbial order, one after the other: a run per (width, adverbial).
+    order = problem.by_adverbial
+    x = np.concatenate([problem.precedence(sigma_e)[order] for sigma_e in widths])
+    y, n, ss = (np.tile(v[order], len(widths)) for v in (problem.y, problem.n, problem.ss))
+    runs = np.concatenate([problem.adverbial_starts + i * order.size for i in range(len(widths))])
+    kernel_starts = {}
+    for g, (s, e) in enumerate(zip(runs, np.append(runs[1:], x.size))):
+        kernel_starts[g] = list(grid)
+        mean, var = _rating_moments(x[s:e], y[s:e], n[s:e])
+        if var is not None:
+            sigma = math.sqrt(var) if var > 0.0 else 0.1
+            kernel_starts[g].append(np.array([mean, math.log(min(max(sigma, 1e-3), 1.0))]))
+    fits = _fit_kernels((x, y, n, ss), runs, kernel_starts, config.max_iterations)
+    kernels = np.reshape([theta for theta, *_ in fits.values()], (len(widths), -1))
     # A kernel fit may run a log width to where exp is 0 or inf: clip it to a normal float.
     finfo = np.finfo(float)
     kernels[:, 1::2] = np.clip(kernels[:, 1::2], math.log(finfo.tiny), math.log(finfo.max))
@@ -534,7 +536,7 @@ def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     problem = _FactorizedProblem(data)
     starts = _factorized_starts(problem, config)
     theta, cost, iterations, converged = _levenberg_marquardt(
-        problem.residuals, problem.normal, starts, config.max_iterations
+        problem.cost, problem.normal, starts, config.max_iterations
     )
     best = int(np.argmin(cost))  # the earliest start on ties
     return FitReport(
@@ -590,52 +592,49 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     across pairs.
     """
     event, adverbial, t, n, y, ss, lo, hi = _cells_from_dataset(data)
+    cells, runs = (t, y, n, ss), _run_starts(event, adverbial)
+    ends = np.append(runs[1:], t.size)
+    keys = list(zip(data.event_ids[event[runs]], data.adverbial_ids[adverbial[runs]]))
     pairs: list[PairParams] = []
-    costs: list[float] = []
     warnings: list[str] = []
-    keys, groups, starts = [], [], []
+    params, starts = {}, {}  # by run: each pair's (mu, log sigma), each fitted pair's starts
 
-    def pin(key: tuple[str, str], group, reason: str) -> None:
-        ts, ys, ns, _ = group
+    def pin(g: int, reason: str) -> None:
+        ts, ys, ns = (v[runs[g] : ends[g]] for v in (t, y, n))
         mu, _ = _rating_moments(ts, ys, ns)
         if not math.isfinite(mu):  # the weighted sum of times overflowed
             mu = float(ts.min() + (ts.max() - ts.min()) / 2.0)
         sigma = max(float(ts.max() - ts.min()), 1.0)
-        warnings.append(f"pair {key!r}: {reason}; fixed sigma at {sigma:g} minutes")
-        residual_fn, _ = _kernel_fns([group], [1])
-        r = residual_fn(np.array([[mu, math.log(sigma)]]), np.arange(1))
-        pairs.append(PairParams(*key, mu, sigma))
-        costs.append(float(_sum_squares(r)[0]))
+        warnings.append(f"pair {keys[g]!r}: {reason}; fixed sigma at {sigma:g} minutes")
+        pairs.append(PairParams(*keys[g], mu, sigma))
+        params[g] = np.array([mu, math.log(sigma)])
 
-    for cells in _runs(event, adverbial):
-        key = (data.event_ids[event[cells[0]]], data.adverbial_ids[adverbial[cells[0]]])
-        ts, ys, ns = t[cells], y[cells], n[cells]
-        group = (ts, ys, ns, ss[cells].sum())
-        if len(ts) < 2 or hi[cells].max() - lo[cells].min() == 0.0:
-            pin(key, group, "width not identifiable from degenerate data")
+    for g, (s, e) in enumerate(zip(runs, ends)):
+        if e - s < 2 or hi[s:e].max() - lo[s:e].min() == 0.0:
+            pin(g, "width not identifiable from degenerate data")
         else:
-            keys.append(key)
-            groups.append(group)
-            starts.append(_pair_starts(ts, ys, ns, config.multistart_count))
+            starts[g] = _pair_starts(t[s:e], y[s:e], n[s:e], config.multistart_count)
 
-    fits = _fit_kernels(groups, starts, config.max_iterations)
-    converged = all(fit[3] for fit in fits)
-    for key, group, (theta, cost, _, pair_converged) in zip(keys, groups, fits):
+    fits = _fit_kernels(cells, runs, starts, config.max_iterations) if starts else {}
+    converged = all(fit[3] for fit in fits.values())
+    for g, (theta, _, _, pair_converged) in fits.items():
         at = f"(mu {theta[0]:.6g}, log sigma {theta[1]:.6g})"
         try:
-            pair = PairParams(*key, float(theta[0]), math.exp(theta[1]))
+            pairs.append(PairParams(*keys[g], float(theta[0]), math.exp(theta[1])))
         except (DomainError, OverflowError):
-            pin(key, group, f"best start ran out of range {at}")
+            pin(g, f"best start ran out of range {at}")
             converged = False
             continue
+        params[g] = theta
         if not pair_converged:
-            warnings.append(f"pair {key!r}: best start did not converge {at}")
-        pairs.append(pair)
-        costs.append(cost)
+            warnings.append(f"pair {keys[g]!r}: best start did not converge {at}")
+    # A fitted pair's cost is its best start's: any batch gives the same bits.
+    problem = _KernelProblem(cells, runs, np.array(list(params)))
+    costs = problem.cost(np.array(list(params.values())), np.arange(len(params)))
     return FitReport(
         model=PairGaussianModel.from_params(pairs),
         final_cost=math.fsum(costs),  # exactly rounded: the same for any pair order
-        iterations=sum(fit[2] for fit in fits),
+        iterations=sum(fit[2] for fit in fits.values()),
         converged=converged,
         residual_count=int(n.sum()),
         parameter_count=2 * len(pairs),

@@ -21,6 +21,7 @@ from justnow.fitting import (
     _levenberg_marquardt,
     _pair_starts,
     _solve,
+    _sum_squares,
     fit_baseline,
     fit_factorized,
     jacobian_factorized,
@@ -170,78 +171,82 @@ class TestJacobian:
 class TestLevenbergMarquardt:
     @staticmethod
     def _rosenbrock():
-        def residuals(theta, rows):
+        def residuals(theta):
             return np.column_stack([10.0 * (theta[:, 1] - theta[:, 0] ** 2), 1.0 - theta[:, 0]])
 
-        def normal(theta, rows, r):
+        def cost(theta, rows):
+            return _sum_squares(residuals(theta))
+
+        def normal(theta, rows):
             jac = np.zeros((len(theta), 2, 2))
             jac[:, 0, 0] = -20.0 * theta[:, 0]
             jac[:, 0, 1] = 10.0
             jac[:, 1, 0] = -1.0
+            r = residuals(theta)
             return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
 
-        return residuals, normal
+        return cost, normal
 
     def test_rosenbrock_converges(self):
-        residuals, normal = self._rosenbrock()
+        cost_fn, normal = self._rosenbrock()
         theta, cost, _, converged = _levenberg_marquardt(
-            residuals, normal, np.array([[-1.2, 1.0]]), 500
+            cost_fn, normal, np.array([[-1.2, 1.0]]), 500
         )
         assert converged[0]
         assert theta[0] == pytest.approx([1.0, 1.0], abs=1e-6)
         assert cost[0] < 1e-12
 
     def test_accepted_costs_strictly_decrease(self):
-        residuals, normal = self._rosenbrock()
+        cost_fn, normal = self._rosenbrock()
         start = np.array([[-1.2, 1.0]])
-        _, full_cost, full_iterations, _ = _levenberg_marquardt(residuals, normal, start, 500)
+        _, full_cost, full_iterations, _ = _levenberg_marquardt(cost_fn, normal, start, 500)
         assert full_iterations[0] > 5
-        costs = [float(np.sum(residuals(start, None) ** 2))]
+        costs = [float(cost_fn(start, None)[0])]
         for cap in range(1, full_iterations[0] + 1):
-            _, cost, iterations, _ = _levenberg_marquardt(residuals, normal, start, cap)
+            _, cost, iterations, _ = _levenberg_marquardt(cost_fn, normal, start, cap)
             assert iterations[0] == cap
             costs.append(cost[0])
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert costs[-1] == full_cost[0]
 
     def test_iteration_cap_reported(self):
-        residuals, normal = self._rosenbrock()
+        cost_fn, normal = self._rosenbrock()
         _, _, iterations, converged = _levenberg_marquardt(
-            residuals, normal, np.array([[-1.2, 1.0]]), 2
+            cost_fn, normal, np.array([[-1.2, 1.0]]), 2
         )
         assert iterations[0] == 2
         assert not converged[0]
 
     def test_zero_cost_start_is_converged(self):
-        def residuals(theta, rows):
-            return np.zeros((len(theta), 2))
+        def cost_fn(theta, rows):
+            return np.zeros(len(theta))
 
         _, cost, iterations, converged = _levenberg_marquardt(
-            residuals, None, np.array([[1.0, 2.0]]), 500
+            cost_fn, None, np.array([[1.0, 2.0]]), 500
         )
         assert converged[0]
         assert cost[0] == 0.0
         assert iterations[0] == 0
 
     def test_non_finite_start_fails_cleanly(self):
-        def residuals(theta, rows):
-            return np.full((len(theta), 1), math.inf)
+        def cost_fn(theta, rows):
+            return np.full(len(theta), math.inf)
 
         _, cost, iterations, converged = _levenberg_marquardt(
-            residuals, None, np.array([[1.0]]), 500
+            cost_fn, None, np.array([[1.0]]), 500
         )
         assert not converged[0]
         assert cost[0] == math.inf
         assert iterations[0] == 0
 
     def test_batch_members_match_solo_runs(self):
-        residuals, normal = self._rosenbrock()
+        cost_fn, normal = self._rosenbrock()
         starts = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0], [-0.5, 3.0], [1.0, 1.0]])
         budget = 12  # two members stop at the cap, three converge
-        batch = _levenberg_marquardt(residuals, normal, starts, budget)
+        batch = _levenberg_marquardt(cost_fn, normal, starts, budget)
         assert not batch[3].all() and batch[3].any()
         for i, start in enumerate(starts):
-            solo = _levenberg_marquardt(residuals, normal, start[None], budget)
+            solo = _levenberg_marquardt(cost_fn, normal, start[None], budget)
             for solo_out, batch_out in zip(solo, batch):
                 assert solo_out[0].tobytes() == batch_out[i].tobytes()
 
@@ -256,19 +261,22 @@ class TestLevenbergMarquardt:
         assert step[2].tolist() == [1.0, 2.0]
 
     def test_kernel_groups_match_solo_runs(self):
-        # Unequal cell counts; the 6- and 13-cell groups each share a batch.  Mixing
-        # counts in one zero-padded batch changed the bits of four of these fits.
+        # Groups of unequal cell counts share one batch: each group's fit must be the best
+        # of its starts run alone, bit for bit.
         rng = np.random.default_rng(5)
-        groups, starts = [], []
-        for size in (6, 13, 21, 40, 13, 6):
+        groups, starts = [], {}
+        for g, size in enumerate((6, 13, 21, 40, 13, 6)):
             x = np.sort(rng.uniform(0.3, 1.0, size))
             n = rng.integers(1, 6, size).astype(float)
             y = np.clip(np.exp(-0.5 * ((x - 0.7) / 0.1) ** 2) + rng.normal(0.0, 0.1, size), 0, 1)
-            groups.append((x, y, n, float(rng.uniform(0.0, 2.0))))
-            starts.append([np.array([mu, math.log(s)]) for mu, s in rng.uniform(0.1, 1.0, (4, 2))])
-        batch = _fit_kernels(groups, starts, 60)
-        for group, group_starts, fitted in zip(groups, starts, batch):
-            solos = [_fit_kernels([group], [[start]], 60)[0] for start in group_starts]
+            ss = np.append(rng.uniform(0.0, 2.0), np.zeros(size - 1))  # the group's sum of squares
+            groups.append((x, y, n, ss))
+            starts[g] = [np.array([mu, math.log(s)]) for mu, s in rng.uniform(0.1, 1.0, (4, 2))]
+        cells = tuple(np.concatenate(column) for column in zip(*groups))
+        runs = np.cumsum([0] + [group[0].size for group in groups[:-1]])
+        batch = _fit_kernels(cells, runs, starts, 60)
+        for g, fitted in batch.items():
+            solos = [_fit_kernels(cells, runs, {g: [start]}, 60)[g] for start in starts[g]]
             best = min(solos, key=lambda solo: solo[1])
             assert best[0].tobytes() == fitted[0].tobytes()
             assert best[1:] == fitted[1:]
@@ -404,6 +412,15 @@ def _irregular_survey(pairs, seed):
     return Dataset(tuple(records))
 
 
+def _drop_cells(data, share, seed):
+    """data without a random share of its (event, adverbial, minutes) cells."""
+    columns = np.column_stack([data.event, data.adverbial, data.minutes])
+    cell = np.unique(columns, axis=0, return_inverse=True)[1].ravel()
+    count = cell.max() + 1
+    dropped = np.random.default_rng(seed).choice(count, int(share * count), replace=False)
+    return Dataset(tuple(r for r, gone in zip(data.records, np.isin(cell, dropped)) if not gone))
+
+
 def _assert_within(actual, expected, rel):
     """Every entry within rel of the largest reference entry."""
     assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
@@ -414,7 +431,7 @@ def _best_start_run_alone(data, config):
     min takes the earliest start on ties."""
     problem = _FactorizedProblem(data)
     runs = [
-        _levenberg_marquardt(problem.residuals, problem.normal, start[None], config.max_iterations)
+        _levenberg_marquardt(problem.cost, problem.normal, start[None], config.max_iterations)
         for start in _factorized_starts(problem, config)
     ]
     theta, cost, iterations, converged = min(runs, key=lambda run: run[1][0])
@@ -438,7 +455,7 @@ class TestFactorizedProblem:
         r = problem.residuals(theta[None], np.arange(1))
         assert r[0, :-1].tobytes() == residuals_factorized(model, data)[order].tobytes()
         assert r[0, -1] == 0.0
-        hess, grad = problem.normal(theta[None], np.arange(1), r)
+        hess, grad = problem.normal(theta[None], np.arange(1))
         jac = jacobian_factorized(model, data)[order]
         _assert_within(hess[0], jac.T @ jac, 1e-12)
         _assert_within(grad[0], jac.T @ r[0, :-1], 1e-12)
@@ -463,8 +480,7 @@ class TestFactorizedProblem:
             np.stack([rng.uniform(0.3, 1.0, (2, na)), rng.uniform(-3.0, -0.5, (2, na))], 2)
             .reshape(2, -1),
         ], axis=1)
-        r = problem.residuals(theta, np.arange(2))
-        hess, grad = problem.normal(theta, np.arange(2), r)
+        hess, grad = problem.normal(theta, np.arange(2))
         assert hess.shape == (2, problem.n_params, problem.n_params)
         for i in range(2):
             model = problem.model_from_theta(theta[i])
@@ -474,9 +490,9 @@ class TestFactorizedProblem:
 
     @staticmethod
     def _assert_members_match_solo_runs(problem, starts, budget):
-        batch = _levenberg_marquardt(problem.residuals, problem.normal, starts, budget)
+        batch = _levenberg_marquardt(problem.cost, problem.normal, starts, budget)
         for i, start in enumerate(starts):
-            solo = _levenberg_marquardt(problem.residuals, problem.normal, start[None], budget)
+            solo = _levenberg_marquardt(problem.cost, problem.normal, start[None], budget)
             for solo_out, batch_out in zip(solo, batch):
                 assert solo_out[0].tobytes() == batch_out[i].tobytes()
         return batch
@@ -508,15 +524,45 @@ class TestFactorizedProblem:
 
     def test_default_fit_peak_memory(self):
         # A Jacobian dense over all 8 starts of the 16x16 ladder rung peaked at 7.06 MB.
+        # The baseline's kernel batch, dense over each pair's cells, peaked at 1.86 MB.
         truth = TestFactorizedBasins._ladder_truth(16, 16)
         data = generate_synthetic(truth, 7, 5, 0.1, 42000 + 6)
-        tracemalloc.start()
-        try:
-            fit_factorized(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for fit in (fit_factorized, fit_baseline):
+            tracemalloc.start()
+            try:
+                fit(data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peak, baseline_peak = peaks
         assert peak <= 3.5e6
+        assert baseline_peak <= 1.75e6
+
+    def test_ragged_cells_run_one_batch_per_family(self, monkeypatch):
+        # The seed-42 16x16 ladder rung with a fifth of its cells dropped: its pairs have
+        # 2 to 7 cells, and each family's kernel fits still run as one LM batch.
+        truth = TestFactorizedBasins._ladder_truth(16, 16)
+        data = _drop_cells(generate_synthetic(truth, 7, 5, 0.1, 42000 + 6), 0.2, 0)
+        event, adverbial, *_ = fitting._cells_from_dataset(data)
+        cells = np.diff(fitting._run_starts(event, adverbial), append=event.size)
+        assert (cells.min(), cells.max()) == (2, 7)
+        calls = []
+        run = fitting._levenberg_marquardt
+        monkeypatch.setattr(
+            fitting, "_levenberg_marquardt", lambda *args: calls.append(len(args[2])) or run(*args)
+        )
+        fit_baseline(data)
+        assert calls == [256 * 8]
+        calls.clear()
+        fit_factorized(data)
+        assert len(calls) == 2  # the informed starts' kernels, then the joint starts
+        # Every pair pinned leaves no kernel to fit, and no LM runs.
+        calls.clear()
+        first = data.minutes.min()  # only e00's votes, and one time per pair
+        pinned = Dataset(tuple(r for r in data.records if r.elapsed.to_minutes() == first))
+        report = fit_baseline(pinned)
+        assert calls == [] and len(report.warnings) == report.model.function_count > 0
 
 
 class TestFactorizedStarts:
@@ -535,11 +581,11 @@ class TestFactorizedStarts:
             assert np.array_equal(start[:2], np.log(widths))
             # Each kernel is fitted against the start's own widths: a kernel fit from it stays.
             x = _precedence(problem.t, widths[problem.ev_idx])
+            cells = tuple(v[problem.by_adverbial] for v in (x, problem.y, problem.n, problem.ss))
             for j in range(2):
-                mask = problem.ad_idx == j
-                group = (x[mask], problem.y[mask], problem.n[mask], problem.ss[mask].sum())
                 kernel = start[2 + 2 * j : 4 + 2 * j]
-                fit = _fit_kernels([group], [[kernel]], config.max_iterations)[0]
+                runs = problem.adverbial_starts
+                fit = _fit_kernels(cells, runs, {j: [kernel]}, config.max_iterations)[j]
                 theta, _, iterations, converged = fit
                 assert converged and iterations <= 1
                 assert theta == pytest.approx(kernel, rel=1e-6)
@@ -752,8 +798,8 @@ class TestFitBaseline:
 
     def test_out_of_range_winner_is_never_converged(self, tiny_truth, monkeypatch):
         # A winner whose width underflows, even one the optimizer calls converged.
-        def underflowing(groups, starts, max_iterations):
-            return [(np.array([0.0, -1e4]), 1.0, 3, True)] * len(groups)
+        def underflowing(cells, runs, starts, max_iterations):
+            return {g: (np.array([0.0, -1e4]), 1.0, 3, True) for g in starts}
 
         monkeypatch.setattr(fitting, "_fit_kernels", underflowing)
         report = fit_baseline(generate_synthetic(tiny_truth, 5, 2, 0.1, seed=4))
@@ -873,18 +919,18 @@ class TestCellStatisticsExactness:
             except (DomainError, OverflowError):  # a width left float range: reject the trial
                 return np.full((1, len(data)), math.inf)
 
-        def per_vote_normal(theta, rows, r):
-            jac = per_vote(jacobian_factorized, theta)
+        def per_vote_normal(theta, rows):
+            jac, r = per_vote(jacobian_factorized, theta), per_vote(residuals_factorized, theta)
             return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
 
         per_vote_fit = _levenberg_marquardt(
-            lambda theta, rows: per_vote(residuals_factorized, theta),
+            lambda theta, rows: _sum_squares(per_vote(residuals_factorized, theta)),
             per_vote_normal,
             theta0[None],
             budget,
         )
         problem = _FactorizedProblem(data)
-        reduced_fit = _levenberg_marquardt(problem.residuals, problem.normal, theta0[None], budget)
+        reduced_fit = _levenberg_marquardt(problem.cost, problem.normal, theta0[None], budget)
         theta, cost, iterations, _ = reduced_fit
         assert iterations[0] == per_vote_fit[2][0]
         assert theta[0] == pytest.approx(per_vote_fit[0][0], abs=1e-6)
