@@ -1,9 +1,10 @@
 """Least-squares fitting for the factorized model and the per-pair baseline.
 
 One minimizer serves every fit: a damped Gauss-Newton loop (Levenberg-Marquardt
-with Marquardt diagonal scaling) over a batch of independent problems, on their
-costs and analytic normal equations, which are summed from each residual's
-nonzero partials without building a Jacobian.  The joint fit runs all its
+with Marquardt diagonal scaling) over a batch of independent problems.  Each
+problem is one callable: one evaluation at a point gives its cost and analytic
+normal equations, summed from each residual's nonzero partials without
+building a Jacobian, and an accepted trial keeps them.  The joint fit runs all its
 starts as one batch; the kernel fits of the baseline's pairs, and of both
 informed starts' adverbials, run as one batch over every start of every run of
 cells, whatever their cell counts.  Widths are optimized as log(sigma), and the
@@ -205,17 +206,19 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # norms and costs of runaway points may overflow to inf
-def _levenberg_marquardt(cost_fn, normal_fn, theta0, max_iterations: int):
+def _levenberg_marquardt(evaluate, theta0, max_iterations: int):
     """Damped Gauss-Newton with Marquardt scaling over a batch of independent problems.
 
-    theta0 is (G, p); cost_fn(theta, rows) maps the parameters (k, p) of
-    problems rows to their costs (k,), each a sum of squared residuals, and
-    normal_fn(theta, rows) to the normal equations' JᵀJ (k, p, p) and Jᵀr (k, p),
-    so the loop holds neither residuals nor a Jacobian.  Returns each problem's
-    theta, cost, iterations (accepted steps) and converged flag.  Each pass
-    tries one damped step per running problem, which keeps its own damping,
-    normal equations and termination, so it takes the same steps in any batch
-    as alone.  A step is accepted only if it strictly lowers the cost.
+    theta0 is (G, p); evaluate(theta, rows) maps the parameters (k, p) of
+    problems rows to their costs (k,), each a sum of squared residuals, and to
+    the normal equations' JᵀJ (k, p, p) and Jᵀr (k, p) at the same points, so
+    the loop holds neither residuals nor a Jacobian.  It evaluates the starts
+    once and then each pass's trials once: an accepted trial keeps its normal
+    equations.  Returns each problem's theta, cost, iterations (accepted steps)
+    and converged flag.  Each pass tries one damped step per running problem,
+    which keeps its own damping, normal equations and termination, so it takes
+    the same steps in any batch as alone.  A step is accepted only if it
+    strictly lowers the cost.
     Termination: relative cost decrease below _COST_TOLERANCE, step norm below
     _PARAM_TOLERANCE (scaled by the parameter norm), exact zero cost, or no
     downhill step at any damping (a stationary point).  Taking max_iterations
@@ -224,29 +227,25 @@ def _levenberg_marquardt(cost_fn, normal_fn, theta0, max_iterations: int):
     """
     theta = np.array(theta0, dtype=float)
     count, n_params = theta.shape
-    cost = cost_fn(theta, np.arange(count))
+    cost, hess, grad = evaluate(theta, np.arange(count))
     cost[~(np.isfinite(cost) & np.isfinite(theta).all(axis=1))] = math.inf  # never stepped from
     result = (theta.copy(), cost.copy(), np.zeros(count, dtype=int), cost == 0.0)
-    # State of the running problems only, compacted as they finish; live maps
-    # them to the batch.  Normal equations are recomputed only after a step, and
-    # recomputing them at an unchanged theta gives the same values.
+    # State of the running problems only, compacted as they finish; live maps them to the batch.
     live = np.flatnonzero((cost > 0.0) & (cost < math.inf))
-    theta, cost = theta[live], cost[live]
+    theta, cost, hess, grad = theta[live], cost[live], hess[live], grad[live]
     lam = np.full(live.size, 1e-3)
     iterations = np.zeros(live.size, dtype=int)
-    moved = np.ones(live.size, dtype=bool)
     diagonal = np.arange(n_params)
     while live.size:
-        if moved.any():
-            hess, grad = normal_fn(theta, live)
-            d = hess[:, diagonal, diagonal]
-            damping = np.zeros_like(hess)
-            damping[:, diagonal, diagonal] = np.where(d <= 0.0, 1.0, d)  # flat column: unit scale
-        step = _solve(hess + lam[:, None, None] * damping, -grad)
+        d = hess[:, diagonal, diagonal]
+        lhs = hess.copy()  # damped at Marquardt scale d, a flat column at unit scale
+        lhs[:, diagonal, diagonal] += lam[:, None] * np.where(d <= 0.0, 1.0, d)
+        step = _solve(lhs, -grad)
+        del lhs  # free before the trial's evaluation, which sets the peak
         solved = np.isfinite(step).all(axis=1)
         step[~solved] = 0.0  # evaluate nothing at a non-finite point
         trial = theta + step
-        trial_cost = cost_fn(trial, live)
+        trial_cost, trial_hess, trial_grad = evaluate(trial, live)
         moved = solved & (trial_cost < cost)
         lam = np.where(moved, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
         converged = lam > 1e14  # no damping yields a decrease: a stationary point
@@ -256,6 +255,7 @@ def _levenberg_marquardt(cost_fn, normal_fn, theta0, max_iterations: int):
             theta_norm = np.sqrt(_sum_squares(theta))
             theta = np.where(moved[:, None], trial, theta)
             cost = np.where(moved, trial_cost, cost)
+            hess[moved], grad[moved] = trial_hess[moved], trial_grad[moved]
             iterations += moved
             converged |= moved & (
                 (cost == 0.0)
@@ -267,8 +267,8 @@ def _levenberg_marquardt(cost_fn, normal_fn, theta0, max_iterations: int):
             for out, state in zip(result, (theta, cost, iterations, converged)):
                 out[live[done]] = state[done]
             keep = ~done
-            live, theta, cost, lam, iterations, moved, hess, damping, grad = (
-                a[keep] for a in (live, theta, cost, lam, iterations, moved, hess, damping, grad)
+            live, theta, cost, lam, iterations, hess, grad = (
+                a[keep] for a in (live, theta, cost, lam, iterations, hess, grad)
             )
     return result
 
@@ -282,8 +282,9 @@ class _KernelProblem:
 
     cells is flat per-cell (x, y, n, ss); run g is the cells from runs[g] to the
     next run.  Problem i, theta = (mu, log sigma), fits run group[i] at the per-vote
-    cost, n * (k - y)^2 plus ss summed over the run.  Each sum over a problem's cells
-    is one np.add.reduceat segment, summed in the same order in any batch.
+    cost, n * (k - y)^2 plus ss summed over the run.  A call gives rows' costs and
+    normal equations from one evaluation of their kernels.  Each sum over a problem's
+    cells is one np.add.reduceat segment, summed in the same order in any batch.
     """
 
     def __init__(self, cells, runs: np.ndarray, group: np.ndarray):
@@ -293,9 +294,12 @@ class _KernelProblem:
         self.ss = np.add.reduceat(ss, runs)[group]
 
     @np.errstate(all="ignore")
-    def terms(self, theta: np.ndarray, rows: np.ndarray):
-        """z, k and r = sqrt(n) * (k - y) of rows' cells, laid end to end; in place where
-        it can be, as a batch of every run's starts makes these a fit's largest arrays."""
+    def __call__(self, theta: np.ndarray, rows: np.ndarray):
+        """Costs (k,), JᵀJ (k, 2, 2) and Jᵀr (k, 2) at theta (k, 2), each entry one reduceat.
+
+        Rows' cells are laid end to end and updated in place where they can be, as a
+        batch of every run's starts makes these a fit's largest arrays.
+        """
         size = self.size[rows]
         if rows is not self.rows:  # LM makes a new rows array only when it compacts
             self.rows, self.first = rows, np.cumsum(size) - size  # each problem's first cell
@@ -306,23 +310,15 @@ class _KernelProblem:
         k = _gaussian(z)
         r = k - self.y[self.cell]
         r *= self.weight[self.cell]
-        return z, k, r
-
-    def cost(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        r = self.terms(theta, rows)[2]
-        return np.add.reduceat(r * r, self.first) + self.ss[rows]
-
-    @np.errstate(all="ignore")
-    def normal(self, theta: np.ndarray, rows: np.ndarray):
-        """JᵀJ (k, 2, 2) and Jᵀr (k, 2) at theta (k, 2), each entry one reduceat."""
-        z, k, r = self.terms(theta, rows)
+        cost = np.add.reduceat(r * r, self.first) + self.ss[rows]
         k *= self.weight[self.cell]
         k *= z
         z *= k  # each cell's partial for log sigma, z^2 * k * sqrt(n)
-        k /= np.repeat(np.exp(theta[:, 1]), self.size[rows])  # and for mu, z * k * sqrt(n) / sigma
+        k /= np.repeat(np.exp(theta[:, 1]), size)  # and for mu, z * k * sqrt(n) / sigma
         products = ((k, k), (k, z), (z, z), (k, r), (z, r))
         bb, bc, cc, br, cr = (np.add.reduceat(u * v, self.first) for u, v in products)
-        return np.stack([bb, bc, bc, cc], axis=1).reshape(-1, 2, 2), np.stack([br, cr], axis=1)
+        hess = np.stack([bb, bc, bc, cc], axis=1).reshape(-1, 2, 2)
+        return cost, hess, np.stack([br, cr], axis=1)
 
 
 def _fit_kernels(cells, runs: np.ndarray, starts: dict, max_iterations: int) -> dict:
@@ -333,7 +329,7 @@ def _fit_kernels(cells, runs: np.ndarray, starts: dict, max_iterations: int) -> 
     counts = [len(run_starts) for run_starts in starts.values()]
     problem = _KernelProblem(cells, runs, np.repeat(list(starts), counts))
     theta, cost, iterations, converged = _levenberg_marquardt(
-        problem.cost, problem.normal, np.concatenate(list(starts.values())), max_iterations
+        problem, np.concatenate(list(starts.values())), max_iterations
     )
     best = {}
     for g, end, count in zip(starts, np.cumsum(counts), counts):
@@ -349,11 +345,12 @@ def _fit_kernels(cells, runs: np.ndarray, starts: dict, max_iterations: int) -> 
 class _FactorizedProblem:
     """Vectorized per-vote objective over cell statistics, for a batch of starts.
 
-    residuals, cost and normal take theta of shape (k, p) for any k; every start
-    shares the cells, so rows only sizes the batch.  The last residual is
-    constant.  Precedence is evaluated once per distinct (event, time) point
-    (point_ev, point_t) and gathered to the cells by point.  normal sums the
-    normal equations from each cell's three partials, so memory is O(k * cells).
+    A call takes theta of shape (k, p) for any k and returns each start's cost
+    and normal equations from one evaluation of the kernels; every start shares
+    the cells, so rows only sizes the batch.  Precedence is evaluated once per
+    distinct (event, time) point (point_ev, point_t) and gathered to the cells
+    by point.  The normal equations are summed from each cell's three partials,
+    so memory is O(k * cells).
     """
 
     def __init__(self, data: Dataset):
@@ -382,7 +379,7 @@ class _FactorizedProblem:
         self.event_starts = _run_starts(self.ev_idx)
         self.by_adverbial = np.argsort(self.ad_idx, kind="stable")
         self.adverbial_starts = _run_starts(self.ad_idx[self.by_adverbial])
-        # Where normal's sums land in a flattened JᵀJ, as (row, column): each event's
+        # Where the normal equations' sums land in a flattened JᵀJ, as (row, column): each event's
         # diagonal entry, each pair's (log sigma_e, mu_a) and (log sigma_e, log sigma_a)
         # entries, then each adverbial's (mu_a, mu_a), (mu_a, log sigma_a) and
         # (log sigma_a, log sigma_a) entries.
@@ -403,40 +400,31 @@ class _FactorizedProblem:
         return sigma_e, mu_a, sigma_a
 
     @np.errstate(all="ignore")
-    def residuals(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        sigma_e, mu_a, sigma_a = self.split_theta(theta)
-        sa = sigma_a.take(self.ad_idx, axis=1)
-        _, k = _kernel_terms(self.precedence(sigma_e), mu_a.take(self.ad_idx, axis=1), sa)
-        r = np.empty((len(theta), self.t.size + 1))
-        np.multiply(self.weight, k - self.y, out=r[:, :-1])
-        r[:, -1] = self.root_ss
-        # A width whose exp over- or underflowed has no model; LM rejects non-finite costs.
-        widths = np.concatenate([sigma_e, sigma_a], axis=1)
-        r[(widths.min(axis=1) == 0.0) | (widths.max(axis=1) == math.inf)] = math.nan
-        return r
+    def __call__(self, theta: np.ndarray, rows: np.ndarray):
+        """Costs (k,), JᵀJ (k, p, p) and Jᵀr (k, p) at theta (k, p).
 
-    def cost(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _sum_squares(self.residuals(theta, rows))
-
-    @np.errstate(all="ignore")
-    def normal(self, theta: np.ndarray, rows: np.ndarray):
-        """JᵀJ (k, p, p) and Jᵀr (k, p) at theta (k, p).
-
-        A cell's row of J is _jacobian's three partials times sqrt(n): a for its
-        event's log sigma_e, b and c for its adverbial's mu_a and log sigma_a.
-        a*a and a*r are summed over each event's cells, a*b and a*c over each
-        pair's, and b*b, b*c, c*c, b*r and c*r over each adverbial's.  A pair
-        missing from the data adds nothing.
+        A cell's residual is sqrt(n) * (k - y), and its row of J is _jacobian's
+        three partials times sqrt(n): a for its event's log sigma_e, b and c for
+        its adverbial's mu_a and log sigma_a.  a*a and a*r are summed over each
+        event's cells, a*b and a*c over each pair's, and b*b, b*c, c*c, b*r and
+        c*r over each adverbial's.  A pair missing from the data adds nothing.
         """
         sigma_e, mu_a, sigma_a = self.split_theta(theta)
         u = self.point_t / sigma_e.take(self.point_ev, axis=1)
         u_phi = (u * (_INV_SQRT_2PI * _gaussian(u))).take(self.point, axis=1)
         sa = sigma_a.take(self.ad_idx, axis=1)
         z, k = _kernel_terms(self.precedence(sigma_e), mu_a.take(self.ad_idx, axis=1), sa)
+        residuals = np.empty((len(theta), self.t.size + 1))
+        residuals[:, -1] = self.root_ss  # a constant residual, whose row of J is zero
+        r = np.multiply(self.weight, k - self.y, out=residuals[:, :-1])
+        cost = _sum_squares(residuals)
+        del residuals  # so r's memory goes when r is sorted by adverbial below
+        # A width whose exp over- or underflowed has no model; LM rejects non-finite costs.
+        widths = np.concatenate([sigma_e, sigma_a], axis=1)
+        cost[(widths.min(axis=1) == 0.0) | (widths.max(axis=1) == math.inf)] = math.nan
         zk = z * k
         b = self.weight * (zk / sa)
         a, c = b * u_phi, self.weight * (zk * z)
-        r = self.weight * (k - self.y)  # the constant residual's row of J is zero
         # Each product is summed on its own: stacking (k, cells) arrays costs more than it saves.
         aa, ar = (np.add.reduceat(v, self.event_starts, axis=1) for v in (a * a, a * r))
         ab, ac = (np.add.reduceat(v, self.pair_starts, axis=1) for v in (a * b, a * c))
@@ -448,7 +436,7 @@ class _FactorizedProblem:
         hess = np.zeros((len(theta), self.n_params**2))
         hess[:, self.upper] = hess[:, self.lower] = np.concatenate([aa, ab, ac, bb, bc, cc], 1)
         grad = np.concatenate([ar, np.stack([br, cr], axis=2).reshape(len(theta), -1)], 1)
-        return hess.reshape(-1, self.n_params, self.n_params), grad
+        return cost, hess.reshape(-1, self.n_params, self.n_params), grad
 
     @np.errstate(over="ignore")  # t / sigma_e may overflow to inf
     def precedence(self, sigma_e: np.ndarray) -> np.ndarray:
@@ -536,7 +524,7 @@ def fit_factorized(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     problem = _FactorizedProblem(data)
     starts = _factorized_starts(problem, config)
     theta, cost, iterations, converged = _levenberg_marquardt(
-        problem.cost, problem.normal, starts, config.max_iterations
+        problem, starts, config.max_iterations
     )
     best = int(np.argmin(cost))  # the earliest start on ties
     return FitReport(
@@ -630,7 +618,7 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
             warnings.append(f"pair {keys[g]!r}: best start did not converge {at}")
     # A fitted pair's cost is its best start's: any batch gives the same bits.
     problem = _KernelProblem(cells, runs, np.array(list(params)))
-    costs = problem.cost(np.array(list(params.values())), np.arange(len(params)))
+    costs = problem(np.array(list(params.values())), np.arange(len(params)))[0]
     return FitReport(
         model=PairGaussianModel.from_params(pairs),
         final_cost=math.fsum(costs),  # exactly rounded: the same for any pair order

@@ -170,85 +170,106 @@ class TestJacobian:
 
 class TestLevenbergMarquardt:
     @staticmethod
-    def _rosenbrock():
-        def residuals(theta):
-            return np.column_stack([10.0 * (theta[:, 1] - theta[:, 0] ** 2), 1.0 - theta[:, 0]])
-
-        def cost(theta, rows):
-            return _sum_squares(residuals(theta))
-
-        def normal(theta, rows):
-            jac = np.zeros((len(theta), 2, 2))
-            jac[:, 0, 0] = -20.0 * theta[:, 0]
-            jac[:, 0, 1] = 10.0
-            jac[:, 1, 0] = -1.0
-            r = residuals(theta)
-            return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
-
-        return cost, normal
+    def _rosenbrock(theta, rows):
+        r = np.column_stack([10.0 * (theta[:, 1] - theta[:, 0] ** 2), 1.0 - theta[:, 0]])
+        jac = np.zeros((len(theta), 2, 2))
+        jac[:, 0, 0] = -20.0 * theta[:, 0]
+        jac[:, 0, 1] = 10.0
+        jac[:, 1, 0] = -1.0
+        jac_t = jac.swapaxes(1, 2)
+        return _sum_squares(r), jac_t @ jac, (jac_t @ r[:, :, None])[:, :, 0]
 
     def test_rosenbrock_converges(self):
-        cost_fn, normal = self._rosenbrock()
         theta, cost, _, converged = _levenberg_marquardt(
-            cost_fn, normal, np.array([[-1.2, 1.0]]), 500
+            self._rosenbrock, np.array([[-1.2, 1.0]]), 500
         )
         assert converged[0]
         assert theta[0] == pytest.approx([1.0, 1.0], abs=1e-6)
         assert cost[0] < 1e-12
 
     def test_accepted_costs_strictly_decrease(self):
-        cost_fn, normal = self._rosenbrock()
         start = np.array([[-1.2, 1.0]])
-        _, full_cost, full_iterations, _ = _levenberg_marquardt(cost_fn, normal, start, 500)
+        _, full_cost, full_iterations, _ = _levenberg_marquardt(self._rosenbrock, start, 500)
         assert full_iterations[0] > 5
-        costs = [float(cost_fn(start, None)[0])]
+        costs = [float(self._rosenbrock(start, None)[0][0])]
         for cap in range(1, full_iterations[0] + 1):
-            _, cost, iterations, _ = _levenberg_marquardt(cost_fn, normal, start, cap)
+            _, cost, iterations, _ = _levenberg_marquardt(self._rosenbrock, start, cap)
             assert iterations[0] == cap
             costs.append(cost[0])
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert costs[-1] == full_cost[0]
 
     def test_iteration_cap_reported(self):
-        cost_fn, normal = self._rosenbrock()
         _, _, iterations, converged = _levenberg_marquardt(
-            cost_fn, normal, np.array([[-1.2, 1.0]]), 2
+            self._rosenbrock, np.array([[-1.2, 1.0]]), 2
         )
         assert iterations[0] == 2
         assert not converged[0]
 
     def test_zero_cost_start_is_converged(self):
-        def cost_fn(theta, rows):
-            return np.zeros(len(theta))
+        def evaluate(theta, rows):
+            return np.zeros(len(theta)), np.zeros((len(theta), 2, 2)), np.zeros((len(theta), 2))
 
         _, cost, iterations, converged = _levenberg_marquardt(
-            cost_fn, None, np.array([[1.0, 2.0]]), 500
+            evaluate, np.array([[1.0, 2.0]]), 500
         )
         assert converged[0]
         assert cost[0] == 0.0
         assert iterations[0] == 0
 
     def test_non_finite_start_fails_cleanly(self):
-        def cost_fn(theta, rows):
-            return np.full(len(theta), math.inf)
+        def evaluate(theta, rows):
+            k = len(theta)
+            return np.full(k, math.inf), np.zeros((k, 1, 1)), np.zeros((k, 1))
 
-        _, cost, iterations, converged = _levenberg_marquardt(
-            cost_fn, None, np.array([[1.0]]), 500
-        )
+        _, cost, iterations, converged = _levenberg_marquardt(evaluate, np.array([[1.0]]), 500)
         assert not converged[0]
         assert cost[0] == math.inf
         assert iterations[0] == 0
 
+    ROSENBROCK_STARTS = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0], [-0.5, 3.0], [1.0, 1.0]])
+
     def test_batch_members_match_solo_runs(self):
-        cost_fn, normal = self._rosenbrock()
-        starts = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0], [-0.5, 3.0], [1.0, 1.0]])
+        starts = self.ROSENBROCK_STARTS
         budget = 12  # two members stop at the cap, three converge
-        batch = _levenberg_marquardt(cost_fn, normal, starts, budget)
+        batch = _levenberg_marquardt(self._rosenbrock, starts, budget)
         assert not batch[3].all() and batch[3].any()
         for i, start in enumerate(starts):
-            solo = _levenberg_marquardt(cost_fn, normal, start[None], budget)
+            solo = _levenberg_marquardt(self._rosenbrock, start[None], budget)
             for solo_out, batch_out in zip(solo, batch):
                 assert solo_out[0].tobytes() == batch_out[i].tobytes()
+
+    def test_one_evaluation_per_pass(self, monkeypatch, tiny_truth):
+        # The starts are evaluated once, then each pass's trials once, on the running
+        # problems only: an accepted trial keeps its normal equations.
+        data = generate_synthetic(tiny_truth, 5, 3, 0.1, seed=4)
+        joint = _FactorizedProblem(data)
+        event, adverbial, t, n, y, ss, *_ = fitting._cells_from_dataset(data)
+        runs = fitting._run_starts(event, adverbial)
+        pairs = [_pair_starts(t[c], y[c], n[c], 8) for c in np.split(np.arange(t.size), runs[1:])]
+        group = np.repeat(np.arange(runs.size), 8)
+        pair_kernels = fitting._KernelProblem((t, y, n, ss), runs, group)
+        cases = (
+            (self._rosenbrock, self.ROSENBROCK_STARTS),
+            (joint, np.array(_factorized_starts(joint, FitConfig()))),
+            (pair_kernels, np.concatenate(pairs)),
+        )
+        evaluated, solved = [], []
+        solve = fitting._solve
+        monkeypatch.setattr(
+            fitting, "_solve", lambda lhs, rhs: solved.append(len(lhs)) or solve(lhs, rhs)
+        )
+        for evaluate, starts in cases:
+            evaluated.clear(), solved.clear()
+
+            def counted(theta, rows, evaluate=evaluate):
+                assert len(rows) == len(theta)
+                evaluated.append(len(rows))
+                return evaluate(theta, rows)
+
+            iterations = _levenberg_marquardt(counted, starts, 100)[2]
+            assert iterations.max() > 1
+            assert evaluated == [len(starts)] + solved
 
     def test_singular_system_gets_nan_step_alone(self):
         lhs = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
@@ -358,7 +379,9 @@ class TestFitFactorized:
         problem = _FactorizedProblem(data)
         starts = np.array(_factorized_starts(problem, FitConfig()))
         assert len({start.tobytes() for start in starts}) == 8
-        assert (problem.residuals(starts, np.arange(8))[:, :-1] == 0.0).all()
+        assert (problem(starts, np.arange(8))[0] == 0.0).all()
+        for start in starts:
+            assert (residuals_factorized(problem.model_from_theta(start), data) == 0.0).all()
         report = fit_factorized(data)
         assert report.model == problem.model_from_theta(starts[0])
         best = (report.model, report.final_cost, report.iterations, report.converged)
@@ -431,7 +454,7 @@ def _best_start_run_alone(data, config):
     min takes the earliest start on ties."""
     problem = _FactorizedProblem(data)
     runs = [
-        _levenberg_marquardt(problem.cost, problem.normal, start[None], config.max_iterations)
+        _levenberg_marquardt(problem, start[None], config.max_iterations)
         for start in _factorized_starts(problem, config)
     ]
     theta, cost, iterations, converged = min(runs, key=lambda run: run[1][0])
@@ -452,13 +475,12 @@ class TestFactorizedProblem:
         theta = _theta_layout(reference_model())[0] + np.resize([0.3, -0.04, 0.2], 14)
         model = problem.model_from_theta(theta)
         order = np.lexsort((data.minutes, data.adverbial, data.event))
-        r = problem.residuals(theta[None], np.arange(1))
-        assert r[0, :-1].tobytes() == residuals_factorized(model, data)[order].tobytes()
-        assert r[0, -1] == 0.0
-        hess, grad = problem.normal(theta[None], np.arange(1))
+        cost, hess, grad = problem(theta[None], np.arange(1))
+        r = residuals_factorized(model, data)[order]
+        assert cost.tobytes() == _sum_squares(np.append(r, 0.0)[None]).tobytes()
         jac = jacobian_factorized(model, data)[order]
         _assert_within(hess[0], jac.T @ jac, 1e-12)
-        _assert_within(grad[0], jac.T @ r[0, :-1], 1e-12)
+        _assert_within(grad[0], jac.T @ r, 1e-12)
 
     # Pairs missing, pairs of unequal cell counts, one event only, one adverbial only.
     IRREGULAR = [
@@ -480,7 +502,7 @@ class TestFactorizedProblem:
             np.stack([rng.uniform(0.3, 1.0, (2, na)), rng.uniform(-3.0, -0.5, (2, na))], 2)
             .reshape(2, -1),
         ], axis=1)
-        hess, grad = problem.normal(theta, np.arange(2))
+        _, hess, grad = problem(theta, np.arange(2))
         assert hess.shape == (2, problem.n_params, problem.n_params)
         for i in range(2):
             model = problem.model_from_theta(theta[i])
@@ -490,9 +512,9 @@ class TestFactorizedProblem:
 
     @staticmethod
     def _assert_members_match_solo_runs(problem, starts, budget):
-        batch = _levenberg_marquardt(problem.cost, problem.normal, starts, budget)
+        batch = _levenberg_marquardt(problem, starts, budget)
         for i, start in enumerate(starts):
-            solo = _levenberg_marquardt(problem.cost, problem.normal, start[None], budget)
+            solo = _levenberg_marquardt(problem, start[None], budget)
             for solo_out, batch_out in zip(solo, batch):
                 assert solo_out[0].tobytes() == batch_out[i].tobytes()
         return batch
@@ -511,9 +533,10 @@ class TestFactorizedProblem:
         overflow, underflow = good[0].copy(), good[1].copy()
         overflow[0], underflow[3] = 800.0, -800.0  # exp(log sigma_e) is inf, exp(log sigma_a) 0
         starts = np.array([good[0], overflow, good[1], underflow, good[2]])
-        r = problem.residuals(starts, np.arange(5))
-        assert np.isnan(r[[1, 3]]).all()
-        assert r[[0, 2, 4]].tobytes() == problem.residuals(good, np.arange(3)).tobytes()
+        cost, *normal = problem(starts, np.arange(5))
+        assert np.isnan(cost[[1, 3]]).all()
+        for out, alone in zip([cost, *normal], problem(good, np.arange(3))):
+            assert out[[0, 2, 4]].tobytes() == alone.tobytes()
         theta, cost, iterations, converged = self._assert_members_match_solo_runs(
             problem, starts, 100
         )
@@ -550,7 +573,7 @@ class TestFactorizedProblem:
         calls = []
         run = fitting._levenberg_marquardt
         monkeypatch.setattr(
-            fitting, "_levenberg_marquardt", lambda *args: calls.append(len(args[2])) or run(*args)
+            fitting, "_levenberg_marquardt", lambda *args: calls.append(len(args[1])) or run(*args)
         )
         fit_baseline(data)
         assert calls == [256 * 8]
@@ -919,18 +942,15 @@ class TestCellStatisticsExactness:
             except (DomainError, OverflowError):  # a width left float range: reject the trial
                 return np.full((1, len(data)), math.inf)
 
-        def per_vote_normal(theta, rows):
+        @np.errstate(invalid="ignore")  # a rejected trial's inf Jacobian
+        def per_vote_evaluate(theta, rows):
             jac, r = per_vote(jacobian_factorized, theta), per_vote(residuals_factorized, theta)
-            return jac.swapaxes(1, 2) @ jac, (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
+            jac_t = jac.swapaxes(1, 2)
+            return _sum_squares(r), jac_t @ jac, (jac_t @ r[:, :, None])[:, :, 0]
 
-        per_vote_fit = _levenberg_marquardt(
-            lambda theta, rows: _sum_squares(per_vote(residuals_factorized, theta)),
-            per_vote_normal,
-            theta0[None],
-            budget,
-        )
+        per_vote_fit = _levenberg_marquardt(per_vote_evaluate, theta0[None], budget)
         problem = _FactorizedProblem(data)
-        reduced_fit = _levenberg_marquardt(problem.cost, problem.normal, theta0[None], budget)
+        reduced_fit = _levenberg_marquardt(problem, theta0[None], budget)
         theta, cost, iterations, _ = reduced_fit
         assert iterations[0] == per_vote_fit[2][0]
         assert theta[0] == pytest.approx(per_vote_fit[0][0], abs=1e-6)
