@@ -260,7 +260,8 @@ class TestLevenbergMarquardt:
             fitting, "_solve", lambda lhs, rhs: solved.append(len(lhs)) or solve(lhs, rhs)
         )
         for evaluate, starts in cases:
-            evaluated.clear(), solved.clear()
+            evaluated.clear()
+            solved.clear()
 
             def counted(theta, rows, evaluate=evaluate):
                 assert len(rows) == len(theta)
