@@ -80,18 +80,14 @@ def _encode(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.array(table, dtype=object), codes
 
 
-def _transpose(rows: list[tuple]) -> list[list]:
-    """The six columns of (event, adverbial, value, unit, rating, respondent) rows."""
-    return [[row[i] for row in rows] for i in range(len(CSV_HEADER))]
-
-
 class Dataset:
     """Judgments stored as columns, one entry per vote.
 
     event, adverbial and unit index each vote's label in the sorted object
     arrays event_ids, adverbial_ids and unit_ids.  value is the elapsed time
     in its unit, minutes the same time in minutes; rating and respondent (a
-    str or None) complete the row.  .records rebuilds the rows.
+    str or None) complete the row.  Labels are encoded only where they enter,
+    in Dataset(records) and load_csv.  .records rebuilds the rows.
     """
 
     def __init__(self, records):
@@ -99,22 +95,25 @@ class Dataset:
             (r.event_id, r.adverbial_id, r.elapsed.value, r.elapsed.unit, r.rating, r.respondent_id)
             for r in records
         ]
-        self._fill(*_transpose(rows))
+        events, adverbials, values, units, ratings, respondents = zip(*rows) if rows else [()] * 6
+        self._fill(_encode(events), _encode(adverbials), values, _encode(units), ratings, respondents)
 
-    @classmethod
-    def _from_columns(cls, *columns) -> Dataset:
-        data = cls.__new__(cls)
-        data._fill(*columns)
-        return data
+    def _fill(self, events, adverbials, values, units, ratings, respondents) -> Dataset:
+        """Set the columns and return self: the one path that builds every Dataset.
 
-    def _fill(self, events, adverbials, values, units, ratings, respondents) -> None:
-        self.event_ids, self.event = _encode(events)
-        self.adverbial_ids, self.adverbial = _encode(adverbials)
-        self.unit_ids, self.unit = _encode(units)
+        events, adverbials and units each come as (sorted id table, code per vote), and
+        every id-table entry has at least one vote, as evaluation._group_means requires.
+        """
+        self.event_ids, self.event = events
+        self.adverbial_ids, self.adverbial = adverbials
+        self.unit_ids, self.unit = units
         self.value = np.array(values, dtype=float)
-        self.minutes = self.value * np.array([UNIT_MINUTES[u] for u in self.unit_ids])[self.unit]
+        scale = np.array([UNIT_MINUTES.get(u, math.nan) for u in self.unit_ids])  # nan: unknown
+        with np.errstate(over="ignore"):  # a finite value may be infinite in minutes
+            self.minutes = self.value * scale[self.unit]
         self.rating = np.array(ratings, dtype=float)
         self.respondent = tuple(respondents)
+        return self
 
     def __len__(self) -> int:
         return len(self.rating)
@@ -158,25 +157,20 @@ def load_csv(path: str | os.PathLike) -> Dataset:
                 table = np.loadtxt(fh, _ROW, delimiter=",", quotechar='"', comments=None, ndmin=1)
         except ValueError:
             _raise_first_bad_row(fh)
-        events, adverbials, spellings, respondents = (
-            table[name].tolist() for name in ("event", "adverbial", "elapsed_unit", "respondent")
+        events, adverbials, (spelling_ids, spelling) = (
+            _encode(table[name].tolist()) for name in ("event", "adverbial", "elapsed_unit")
         )
+        respondents = [who or None for who in table["respondent"].tolist()]
         value, rating = table["elapsed_value"].copy(), table["rating"].copy()
         del table
-        spelling_ids, spelling = _encode(spellings)
-        unit_ids = np.array([canonical_unit(text) for text in spelling_ids], dtype=object)
-        scale = np.array([UNIT_MINUTES.get(unit, math.nan) for unit in unit_ids])  # nan: unknown
-        with np.errstate(over="ignore"):  # a finite value may be infinite in minutes
-            minutes = value * scale[spelling]
-        if (
-            "" in events
-            or "" in adverbials
-            or not np.all((rating >= 0.0) & (rating <= 1.0) & (value >= 0.0) & (minutes < math.inf))
-        ):
+        unit_ids, unit = _encode([canonical_unit(text) for text in spelling_ids])  # per spelling
+        data = Dataset.__new__(Dataset)._fill(
+            events, adverbials, value, (unit_ids, unit[spelling]), rating, respondents
+        )
+        in_range = (rating >= 0.0) & (rating <= 1.0) & (value >= 0.0) & (data.minutes < math.inf)
+        if "" in data.event_ids or "" in data.adverbial_ids or not in_range.all():
             _raise_first_bad_row(fh)
-    return Dataset._from_columns(
-        events, adverbials, value, unit_ids[spelling], rating, [who or None for who in respondents]
-    )
+    return data
 
 
 def _number(text: str) -> float:
@@ -277,13 +271,14 @@ def generate_synthetic(
     if not math.isfinite(noise_sd) or noise_sd < 0.0:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
 
-    adverbial_ids = sorted(truth.adverbials)
-    cells = []
-    for event_id in sorted(truth.events):
-        sigma_e = truth.events[event_id].sigma_e
-        times = np.geomspace(sigma_e / 100.0, 100.0 * sigma_e, times_per_event).tolist()
-        cells += [(event_id, adverbial_id, t) for adverbial_id in adverbial_ids for t in times]
-    rating = np.repeat(truth.predict(*zip(*cells)), votes_per_cell)
+    event_ids = np.array(sorted(truth.events), dtype=object)
+    adverbial_ids = np.array(sorted(truth.adverbials), dtype=object)
+    shape = (event_ids.size, adverbial_ids.size, times_per_event)
+    event, adverbial, time = np.indices(shape).reshape(3, -1)  # one entry per cell
+    sigma_e = [truth.events[event_id].sigma_e for event_id in event_ids]
+    times = np.array([np.geomspace(s / 100.0, 100.0 * s, times_per_event) for s in sigma_e])
+    t = times[event, time]
+    rating = np.repeat(truth.predict(event_ids[event], adverbial_ids[adverbial], t), votes_per_cell)
     if noise_sd > 0.0:
         noise = np.random.default_rng(seed).normal(0.0, noise_sd, size=rating.size)
         rating = np.clip(rating + noise, 0.0, 1.0)
@@ -291,7 +286,11 @@ def generate_synthetic(
     # Zero-padded respondent labels keep lexicographic and numeric order aligned.
     pad = len(str(votes_per_cell - 1))
     respondents = tuple(f"p{v:0{pad}d}" for v in range(votes_per_cell))
-    columns = (np.repeat(np.array(c, dtype=object), votes_per_cell) for c in zip(*cells))
-    return Dataset._from_columns(
-        *columns, ("minute",) * rating.size, rating, respondents * len(cells)
+    return Dataset.__new__(Dataset)._fill(
+        (event_ids, np.repeat(event, votes_per_cell)),
+        (adverbial_ids, np.repeat(adverbial, votes_per_cell)),
+        np.repeat(t, votes_per_cell),
+        (np.array(["minute"], dtype=object), np.zeros(rating.size, dtype=np.intp)),
+        rating,
+        respondents * t.size,
     )

@@ -153,13 +153,13 @@ def _cells_from_dataset(data: Dataset):
 def cell_means(data: Dataset) -> Dataset:
     """data with each (event, adverbial, minutes) cell's votes replaced by one vote at their mean.
 
-    Fitting it gives every cell's mean rating unit weight, where fitting data
-    weights it by its vote count.  Times are in minutes; respondents are empty.
+    Fitting it gives every cell's mean rating unit weight, where fitting data weights it
+    by its vote count.  It shares data's id tables; times are in minutes, respondents empty.
     """
     event, adverbial, t, _, mean, *_ = _cells_from_dataset(data)
-    return Dataset._from_columns(
-        data.event_ids[event], data.adverbial_ids[adverbial], t, ("minute",) * t.size, mean,
-        (None,) * t.size
+    minute = (np.array(["minute"], dtype=object), np.zeros(t.size, dtype=np.intp))
+    return Dataset.__new__(Dataset)._fill(
+        (data.event_ids, event), (data.adverbial_ids, adverbial), t, minute, mean, (None,) * t.size
     )
 
 

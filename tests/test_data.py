@@ -5,6 +5,7 @@ import os
 import threading
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from justnow.data import (
     save_csv,
 )
 from justnow.evaluation import accuracy
-from justnow.fitting import FitConfig, fit_baseline, fit_factorized
+from justnow.fitting import FitConfig, cell_means, fit_baseline, fit_factorized
 from justnow.model import (
     UNIT_MINUTES,
     AdverbialParams,
@@ -515,6 +516,45 @@ class TestDatasetConstruction:
             if isinstance(report, tuple):
                 continue
             assert accuracy(report.model, loaded) == accuracy(report.model, shuffled)
+
+    @pytest.mark.parametrize("reduce", [lambda data: data, cell_means], ids=["votes", "cells"])
+    def test_coded_columns_are_those_of_the_records(self, reduce):
+        data = reduce(generate_synthetic(reference_model(), 3, 2, 0.3, seed=5))
+        built = Dataset(data.records)
+        for kind in ("event", "adverbial", "unit"):
+            ids, codes = getattr(data, f"{kind}_ids"), getattr(data, kind)
+            assert ids.dtype == object and ids.tolist() == getattr(built, f"{kind}_ids").tolist()
+            assert codes.dtype == np.intp == getattr(built, kind).dtype
+            assert codes.tobytes() == getattr(built, kind).tobytes()
+            assert np.bincount(codes, minlength=ids.size).min() >= 1  # no id without a vote
+        for column in ("value", "minutes", "rating"):
+            assert getattr(data, column).dtype == getattr(built, column).dtype == float
+            assert getattr(data, column).tobytes() == getattr(built, column).tobytes()
+        assert data.respondent == built.respondent
+
+    def test_labels_are_encoded_once_where_they_enter(self, tmp_path, tiny_truth, monkeypatch):
+        encode, lengths = data_module._encode, []
+
+        def counted(labels):
+            lengths.append(len(labels))
+            return encode(labels)
+
+        monkeypatch.setattr(data_module, "_encode", counted)
+
+        def vote_length_encodings(data):
+            count = lengths.count(len(data))
+            lengths.clear()
+            return count
+
+        synthetic = generate_synthetic(tiny_truth, 3, 4, 0.1, seed=0)
+        assert vote_length_encodings(synthetic) == 0
+        assert vote_length_encodings(cell_means(synthetic)) == 0
+        rows = [f"e,a,{i},{unit},0.5," for i in range(1, 31) for unit in ("day", " Days", "hour")]
+        (tmp_path / "votes.csv").write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+        loaded = load_csv(tmp_path / "votes.csv")
+        assert len(loaded) == 90 and loaded.unit_ids.tolist() == ["day", "hour"]
+        assert vote_length_encodings(loaded) == 3  # event, adverbial and unit spelling
+        assert vote_length_encodings(Dataset(loaded.records)) == 3
 
     def test_columns(self):
         data = Dataset([
