@@ -72,12 +72,28 @@ class JudgmentRecord:
         object.__setattr__(self, "rating", rating)
 
 
-def _encode(labels) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct labels, as an object array, and each label's index into them."""
-    table = sorted(set(labels))
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Start index of each run of adjacent rows that are equal in every one of the columns."""
+    change = np.zeros(len(columns[0]), dtype=bool)
+    change[:1] = True
+    for c in columns:
+        change[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(change)
+
+
+def _encode(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct labels of an object array, as an object array, and each label's index.
+
+    Only the first label of each run of equal adjacent labels is hashed and looked
+    up; its code is repeated over the run.  Every CSV written here keeps equal
+    labels adjacent, so a survey's label columns are a few runs each.
+    """
+    starts = _run_starts(labels)
+    firsts = labels[starts].tolist()
+    table = sorted(set(firsts))
     index = {label: code for code, label in enumerate(table)}
-    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
-    return np.array(table, dtype=object), codes
+    codes = np.fromiter(map(index.__getitem__, firsts), dtype=np.intp, count=len(firsts))
+    return np.array(table, dtype=object), np.repeat(codes, np.diff(starts, append=len(labels)))
 
 
 class Dataset:
@@ -96,7 +112,10 @@ class Dataset:
             for r in records
         ]
         events, adverbials, values, units, ratings, respondents = zip(*rows) if rows else [()] * 6
-        self._fill(_encode(events), _encode(adverbials), values, _encode(units), ratings, respondents)
+        events, adverbials, units = (
+            _encode(np.array(labels, dtype=object)) for labels in (events, adverbials, units)
+        )
+        self._fill(events, adverbials, values, units, ratings, respondents)
 
     def _fill(self, events, adverbials, values, units, ratings, respondents) -> Dataset:
         """Set the columns and return self: the one path that builds every Dataset.
@@ -158,12 +177,13 @@ def load_csv(path: str | os.PathLike) -> Dataset:
         except ValueError:
             _raise_first_bad_row(fh)
         events, adverbials, (spelling_ids, spelling) = (
-            _encode(table[name].tolist()) for name in ("event", "adverbial", "elapsed_unit")
+            _encode(table[name]) for name in ("event", "adverbial", "elapsed_unit")
         )
         respondents = [who or None for who in table["respondent"].tolist()]
         value, rating = table["elapsed_value"].copy(), table["rating"].copy()
         del table
-        unit_ids, unit = _encode([canonical_unit(text) for text in spelling_ids])  # per spelling
+        units = np.array([canonical_unit(text) for text in spelling_ids], dtype=object)
+        unit_ids, unit = _encode(units)  # per spelling
         data = Dataset.__new__(Dataset)._fill(
             events, adverbials, value, (unit_ids, unit[spelling]), rating, respondents
         )
@@ -228,20 +248,35 @@ def _csv_field(label: str) -> str:
 
 
 def save_csv(dataset: Dataset, path: str | os.PathLike) -> None:
-    """Write a dataset in the judgment CSV schema, floats at 9 significant digits."""
+    """Write a dataset in the judgment CSV schema, floats at 9 significant digits.
+
+    The "event,adverbial,value,unit," prefix is formatted once per distinct
+    (event, adverbial, value, unit), found through one sort, and gathered per
+    vote; values are grouped on their bits, so -0.0 keeps its "-0".  Only the
+    rating and the respondent are written per vote.
+    """
     quote = np.frompyfunc(_csv_field, 1, 1)  # once per distinct label
     respondents = {who: _csv_field(who or "") for who in set(dataset.respondent)}
+    bits = dataset.value.view(np.int64)
+    order = np.lexsort((bits, dataset.unit, dataset.adverbial, dataset.event))
+    keys = [c[order] for c in (dataset.event, dataset.adverbial, bits, dataset.unit)]
+    starts = _run_starts(*keys)
+    event, adverbial, bits, unit = (c[starts] for c in keys)
+    prefixes = zip(
+        quote(dataset.event_ids)[event].tolist(),
+        quote(dataset.adverbial_ids)[adverbial].tolist(),
+        bits.view(float).tolist(),
+        quote(dataset.unit_ids)[unit].tolist(),
+    )
+    distinct = np.array(list(map("%s,%s,%.9g,%s,".__mod__, prefixes)), dtype=object)
+    prefix = np.empty(len(order), dtype=object)  # in row order
+    prefix[order] = np.repeat(distinct, np.diff(starts, append=len(order)))
     rows = zip(
-        quote(dataset.event_ids)[dataset.event].tolist(),
-        quote(dataset.adverbial_ids)[dataset.adverbial].tolist(),
-        dataset.value.tolist(),
-        quote(dataset.unit_ids)[dataset.unit].tolist(),
-        dataset.rating.tolist(),
-        map(respondents.__getitem__, dataset.respondent),
+        prefix.tolist(), dataset.rating.tolist(), map(respondents.__getitem__, dataset.respondent)
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        fh.writelines(map("%s,%s,%.9g,%s,%.9g,%s\n".__mod__, rows))
+        fh.writelines(map("%s%.9g,%s\n".__mod__, rows))
 
 
 def generate_synthetic(

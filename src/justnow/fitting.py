@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _run_starts
 from .model import (
     AdverbialParams,
     DomainError,
@@ -41,7 +41,6 @@ from .model import (
     PairParams,
     _gaussian,
     _kernel_terms,
-    _lookup,
     _precedence,
 )
 
@@ -51,8 +50,6 @@ __all__ = [
     "cell_means",
     "fit_factorized",
     "fit_baseline",
-    "residuals_factorized",
-    "jacobian_factorized",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -96,38 +93,7 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# Jacobian of the composite curve; the curve itself is justnow.model's kernel.
-
-
-@np.errstate(all="ignore")
-def _jacobian(t, ev_idx, ad_idx, sigma_e, mu_a, sigma_a) -> np.ndarray:
-    """Partials of the composite value w.r.t. (log sigma_e, mu_a, log sigma_a), one row each.
-
-    Row i is observation i.  Columns are the events in index order, then each
-    adverbial's (mu_a, log sigma_a).  Each row has three nonzeros.
-    With x = Phi(u), u = t/sigma_e and z = (x - mu_a)/sigma_a:
-        d/d log sigma_e = z * k * u * phi(u) / sigma_a
-        d/d mu_a        = z * k / sigma_a
-        d/d log sigma_a = z^2 * k
-    """
-    se, sa = sigma_e[ev_idx], sigma_a[ad_idx]
-    u = t / se
-    z, k = _kernel_terms(_precedence(t, se), mu_a[ad_idx], sa)
-    jac = np.zeros((t.size, sigma_e.size + 2 * sigma_a.size))
-    rows = np.arange(t.size)
-    jac[rows, ev_idx] = z * k * u * (_INV_SQRT_2PI * _gaussian(u)) / sa
-    jac[rows, sigma_e.size + 2 * ad_idx] = z * k / sa
-    jac[rows, sigma_e.size + 2 * ad_idx + 1] = z * z * k
-    return jac
-
-
-# ---------------------------------------------------------------------------
 # Cell statistics and canonical ordering.
-
-
-def _run_starts(*columns: np.ndarray) -> np.ndarray:
-    """Start index of each run of rows that are equal in every one of the sorted columns."""
-    return np.flatnonzero(np.any([np.append(True, c[1:] != c[:-1]) for c in columns], axis=0))
 
 
 def _cells_from_dataset(data: Dataset):
@@ -161,29 +127,6 @@ def cell_means(data: Dataset) -> Dataset:
     return Dataset.__new__(Dataset)._fill(
         (data.event_ids, event), (data.adverbial_ids, adverbial), t, minute, mean, (None,) * t.size
     )
-
-
-def residuals_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
-    """Per-record residuals, prediction minus rating, in dataset order."""
-    event_ids, adverbial_ids = data.event_ids[data.event], data.adverbial_ids[data.adverbial]
-    return model.predict(event_ids, adverbial_ids, data.minutes) - data.rating
-
-
-def jacobian_factorized(model: FactorizedModel, data: Dataset) -> np.ndarray:
-    """Residual Jacobian w.r.t. (log sigma_e, mu_a, log sigma_a), dataset order.
-
-    Columns are the model's events in sorted id order, then for each
-    adverbial in sorted id order its (mu_a, log sigma_a) pair.  Entries for
-    parameters a record's pair does not involve are exactly zero.
-    """
-    event_ids, adverbial_ids = sorted(model.events), sorted(model.adverbials)
-    # The model's index of each of the data's ids, then of each vote's.
-    ev_idx = _lookup({e: i for i, e in enumerate(event_ids)}, data.event_ids, "event")
-    ad_idx = _lookup({a: j for j, a in enumerate(adverbial_ids)}, data.adverbial_ids, "adverbial")
-    ev_idx = np.array(ev_idx, dtype=int)[data.event]
-    ad_idx = np.array(ad_idx, dtype=int)[data.adverbial]
-    sigma_e = np.array([model.events[eid].sigma_e for eid in event_ids])
-    return _jacobian(data.minutes, ev_idx, ad_idx, sigma_e, *model._kernel_params(adverbial_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +346,11 @@ class _FactorizedProblem:
     def __call__(self, theta: np.ndarray, rows: np.ndarray):
         """Costs (k,), JᵀJ (k, p, p) and Jᵀr (k, p) at theta (k, p).
 
-        A cell's residual is sqrt(n) * (k - y), and its row of J is _jacobian's
-        three partials times sqrt(n): a for its event's log sigma_e, b and c for
-        its adverbial's mu_a and log sigma_a.  a*a and a*r are summed over each
+        A cell's residual is sqrt(n) * (k - y), and its row of J is three partials
+        times sqrt(n): a for its event's log sigma_e, b and c for its adverbial's
+        mu_a and log sigma_a.  With x = Phi(u), u = t / sigma_e and
+        z = (x - mu_a) / sigma_a, they are z * k * u * phi(u) / sigma_a,
+        z * k / sigma_a and z^2 * k before the weight.  a*a and a*r are summed over each
         event's cells, a*b and a*c over each pair's, and b*b, b*c, c*c, b*r and
         c*r over each adverbial's.  A pair missing from the data adds nothing.
         """

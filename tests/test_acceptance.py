@@ -13,13 +13,7 @@ import pytest
 
 from justnow.data import generate_synthetic
 from justnow.evaluation import accuracy, extendability_table
-from justnow.fitting import (
-    FitConfig,
-    fit_baseline,
-    fit_factorized,
-    jacobian_factorized,
-    residuals_factorized,
-)
+from justnow.fitting import FitConfig, fit_baseline, fit_factorized
 from justnow.data import Dataset, JudgmentRecord
 from justnow.model import (
     AdverbialParams,
@@ -33,6 +27,7 @@ from justnow.model import (
     reference_model,
 )
 from justnow.data import normalize_likert
+from per_vote import jacobian_factorized, residuals_factorized
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -15,8 +15,8 @@ from justnow.cli import (
     EXIT_VALIDATION,
     run,
 )
-from justnow.data import generate_synthetic, load_csv, save_csv
-from justnow.fitting import FitConfig, FitReport, fit_factorized, residuals_factorized
+from justnow.data import CSV_HEADER, generate_synthetic, load_csv, save_csv
+from justnow.fitting import FitConfig, FitReport, fit_factorized
 from justnow.model import (
     AdverbialParams,
     Duration,
@@ -27,6 +27,7 @@ from justnow.model import (
     load_model,
     save_model,
 )
+from per_vote import residuals_factorized
 
 # Birthday (sigma_e = 314830) one day back, mpmath at 50 digits
 BIRTHDAY_1D = {
@@ -356,6 +357,15 @@ class TestEvaluate:
         # ratings pass through the CSV at 9 significant digits
         assert doc["overall"] < 1e-8
         assert "0.0000" in capsys.readouterr().out
+
+    def test_uncovered_id_is_a_validation_error(self, work, tmp_path, capsys):
+        data = tmp_path / "uncovered.csv"
+        data.write_text(
+            ",".join(CSV_HEADER) + "\nzeta,just,1,day,0.5,\nnope,just,1,day,0.5,\n"
+        )
+        code = run(["evaluate", "--model", str(work["truth_path"]), "--data", str(data)])
+        assert code == EXIT_VALIDATION
+        assert "error: event 'nope' not in model" in capsys.readouterr().err
 
     def test_round_trip_matches_fit_residuals(self, work):
         out = work["root"] / "acc_fit.json"

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from justnow import data as data_module
@@ -264,18 +264,23 @@ class TestCsv:
             st.tuples(
                 st.text(st.sampled_from('ab ,"\n\r'), min_size=1, max_size=4),
                 st.sampled_from(["Just", "a,b", ' "q"', "x\ny", "x\ry", " lead", "trail "]),
-                st.sampled_from([0.5, 60.0, 1e-300, 123456.789, 0.0]),
+                st.sampled_from([0.5, 60.0, 1e-300, 123456.789, 0.0, -0.0]),
                 st.sampled_from(sorted(UNIT_MINUTES)),
                 st.sampled_from([0.0, 1.0, 0.25, 0.123456789012]),
                 st.sampled_from([None, "", "p1", "p,1", 'p"1', "p\r\n1", " p1"]),
             ),
             max_size=12,
-        )
+        ).map(lambda rows: rows + [rows[0][:4] + rows[-1][4:]] if rows else rows)
     )
+    # A row prefix is one (event, adverbial, value, unit), and -0.0 == 0.0 is no reason
+    # to share one: "-0" must stay "-0" with "0" written before and after it.
+    @example(rows=[("e", "Just", v, "day", 0.5, None) for v in (0.0, -0.0, 0.0, -0.0)])
     @settings(
         max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     def test_save_matches_csv_writer_and_loads_back(self, tmp_path, rows):
+        # A drawn list ends in one more row with its first row's event, adverbial, value and
+        # unit: from three rows on, a repeated prefix apart from its first use.
         data = Dataset([_vote(*row) for row in rows])
         path = tmp_path / "saved.csv"
         save_csv(data, path)

@@ -19,7 +19,10 @@ from justnow.evaluation import (
 )
 from justnow.fitting import FitConfig, fit_baseline, fit_factorized
 from justnow.model import (
+    AdverbialParams,
     Duration,
+    EventParams,
+    FactorizedModel,
     PairGaussianModel,
     PairParams,
     UnknownIdError,
@@ -32,6 +35,38 @@ from justnow.model import (
 
 def _record(event_id, adverbial_id, minutes, rating):
     return JudgmentRecord(event_id, adverbial_id, Duration(minutes, "minute"), rating)
+
+
+# A model of each family over meal/move x just/ages; one pair kernel peaks at -0.0 minutes.
+_FAMILIES = (
+    FactorizedModel.from_params(
+        [EventParams("meal", 300.0), EventParams("move", 200000.0)],
+        [AdverbialParams("just", 0.48, 0.05), AdverbialParams("ages", 0.95, 0.2)],
+    ),
+    PairGaussianModel.from_params(
+        [
+            PairParams("meal", "just", 0.0, 50.0),
+            PairParams("meal", "ages", -0.0, 400.0),
+            PairParams("move", "just", 250.0, 100.0),
+            PairParams("move", "ages", 1e5, 2e5),
+        ]
+    ),
+)
+
+
+def _per_vote_accuracy(model, data: Dataset) -> AccuracyReport:
+    """accuracy from one predict call per vote, in record order."""
+    errors, by_event, by_adverbial = [], {}, {}
+    for r in data.records:
+        p = model.predict([r.event_id], [r.adverbial_id], [r.elapsed.to_minutes()])[0]
+        errors.append(abs(float(p) - r.rating))
+        by_event.setdefault(r.event_id, []).append(errors[-1])
+        by_adverbial.setdefault(r.adverbial_id, []).append(errors[-1])
+    return AccuracyReport(
+        per_event={k: math.fsum(v) / len(v) for k, v in by_event.items()},
+        per_adverbial={k: math.fsum(v) / len(v) for k, v in by_adverbial.items()},
+        overall=math.fsum(errors) / len(errors),
+    )
 
 
 class TestAccuracy:
@@ -77,6 +112,38 @@ class TestAccuracy:
         b = accuracy(tiny_truth, Dataset(tuple(shuffled)))
         assert a == b
 
+    @given(
+        votes=st.lists(
+            st.tuples(
+                st.sampled_from(["meal", "move"]),
+                st.sampled_from(["just", "ages"]),
+                st.sampled_from([0.0, -0.0, 1.0, 250.0, 3e5]),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_one_predict_per_vote(self, votes, shuffle):
+        records = [_record(*vote) for vote in votes]
+        cells = {vote[:3] for vote in votes}  # -0.0 and 0.0 minutes are one cell
+        for model in _FAMILIES:
+            expected = _per_vote_accuracy(model, Dataset(tuple(records)))
+            predict, sizes = type(model).predict, []
+
+            def counted(self, event_ids, adverbial_ids, minutes):
+                sizes.append(len(minutes))
+                return predict(self, event_ids, adverbial_ids, minutes)
+
+            for order in (records, shuffle.sample(records, len(records))):
+                sizes.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(type(model), "predict", counted)
+                    assert accuracy(model, Dataset(tuple(order))) == expected
+                assert sizes == [len(cells)]
+
     def test_works_for_baseline_models(self):
         model = PairGaussianModel.from_params([PairParams("e", "a", 100.0, 50.0)])
         data = Dataset((_record("e", "a", 100.0, 0.75),))
@@ -88,12 +155,17 @@ class TestAccuracy:
             accuracy(tiny_truth, Dataset(()))
 
     def test_uncovered_record_rejected(self, tiny_truth):
-        data = Dataset((_record("nope", "just", 1.0, 0.5),))
-        with pytest.raises(UnknownIdError):
+        # Cells are predicted in sorted-code order, so the error names the first
+        # uncovered id in that order, not in record order.
+        data = Dataset(
+            tuple(_record(e, "just", 1.0, 0.5) for e in ("zeta", "meal", "nope", "zeta"))
+        )
+        with pytest.raises(UnknownIdError, match="event 'nope' not in model"):
             accuracy(tiny_truth, data)
         baseline = PairGaussianModel.from_params([PairParams("meal", "just", 100.0, 50.0)])
-        with pytest.raises(UnknownIdError):
-            accuracy(baseline, Dataset((_record("meal", "ages", 1.0, 0.5),)))
+        data = Dataset(tuple(_record("meal", a, 1.0, 0.5) for a in ("zz", "just", "ages")))
+        with pytest.raises(UnknownIdError, match=r"pair \('meal', 'ages'\) not in model"):
+            accuracy(baseline, data)
 
     def test_model_round_trip_keeps_accuracy_bit_identical(self, tiny_truth, tmp_path):
         data = generate_synthetic(tiny_truth, 4, 2, 0.1, seed=2)

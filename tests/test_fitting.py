@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from justnow import fitting
-from justnow.data import Dataset, JudgmentRecord, generate_synthetic
+from justnow.data import Dataset, JudgmentRecord, _run_starts, generate_synthetic
 from justnow.fitting import (
     FitConfig,
     FitReport,
@@ -24,8 +24,6 @@ from justnow.fitting import (
     _sum_squares,
     fit_baseline,
     fit_factorized,
-    jacobian_factorized,
-    residuals_factorized,
 )
 from justnow.model import (
     AdverbialParams,
@@ -41,6 +39,7 @@ from justnow.model import (
     event_precedence,
     reference_model,
 )
+from per_vote import jacobian_factorized, residuals_factorized
 
 # Vacation (sigma_e = 396579) one month back through the Recently kernel,
 # mpmath at 50 digits; with rating 0.2 the residual is prediction - 0.2.
@@ -245,7 +244,7 @@ class TestLevenbergMarquardt:
         data = generate_synthetic(tiny_truth, 5, 3, 0.1, seed=4)
         joint = _FactorizedProblem(data)
         event, adverbial, t, n, y, ss, *_ = fitting._cells_from_dataset(data)
-        runs = fitting._run_starts(event, adverbial)
+        runs = _run_starts(event, adverbial)
         pairs = [_pair_starts(t[c], y[c], n[c], 8) for c in np.split(np.arange(t.size), runs[1:])]
         group = np.repeat(np.arange(runs.size), 8)
         pair_kernels = fitting._KernelProblem((t, y, n, ss), runs, group)
@@ -569,7 +568,7 @@ class TestFactorizedProblem:
         truth = TestFactorizedBasins._ladder_truth(16, 16)
         data = _drop_cells(generate_synthetic(truth, 7, 5, 0.1, 42000 + 6), 0.2, 0)
         event, adverbial, *_ = fitting._cells_from_dataset(data)
-        cells = np.diff(fitting._run_starts(event, adverbial), append=event.size)
+        cells = np.diff(_run_starts(event, adverbial), append=event.size)
         assert (cells.min(), cells.max()) == (2, 7)
         calls = []
         run = fitting._levenberg_marquardt
